@@ -507,44 +507,39 @@ int main(int argc, char** argv) {
   std::printf("  paged resident: %8.2f MiB (%llu pages/board x 4 KiB)\n",
               mem_paged.resident_total / mib,
               (unsigned long long)(mem_paged.resident_max / tock::PagedBank::kPageSize));
-  if (tock::PagedBank::kCompiled) {
-    // Reconcile the gauge against whole pages: a homogeneous fleet must hold the
-    // same private page count on every board, and the total must be exactly
-    // boards x that count x 4 KiB — anything else means the residency gauge
-    // drifted from the pages actually committed.
-    if (mem_paged.resident_min != mem_paged.resident_max ||
-        mem_paged.resident_max % tock::PagedBank::kPageSize != 0 ||
-        mem_paged.resident_total != kMemBoards * mem_paged.resident_max) {
-      std::fprintf(stderr,
-                   "FAIL: paged residency does not reconcile against page counts "
-                   "(min %llu, max %llu, total %llu)\n",
-                   (unsigned long long)mem_paged.resident_min,
-                   (unsigned long long)mem_paged.resident_max,
-                   (unsigned long long)mem_paged.resident_total);
-      return 1;
-    }
-    if (mem_paged.resident_total == 0 ||
-        mem_eager.resident_total < 5 * mem_paged.resident_total) {
-      std::fprintf(stderr,
-                   "FAIL: paged fleet not >=5x smaller than eager (%llu vs %llu bytes)\n",
-                   (unsigned long long)mem_paged.resident_total,
-                   (unsigned long long)mem_eager.resident_total);
-      return 1;
-    }
-    std::printf("  reduction: %.1fx (gate: >=5x)\n",
-                (double)mem_eager.resident_total / (double)mem_paged.resident_total);
-  } else {
-    std::printf("  note: TOCK_PAGED_MEM=OFF — both legs eager, residency gate skipped\n");
+  // Reconcile the gauge against whole pages: a homogeneous fleet must hold the
+  // same private page count on every board, and the total must be exactly
+  // boards x that count x 4 KiB — anything else means the residency gauge
+  // drifted from the pages actually committed.
+  if (mem_paged.resident_min != mem_paged.resident_max ||
+      mem_paged.resident_max % tock::PagedBank::kPageSize != 0 ||
+      mem_paged.resident_total != kMemBoards * mem_paged.resident_max) {
+    std::fprintf(stderr,
+                 "FAIL: paged residency does not reconcile against page counts "
+                 "(min %llu, max %llu, total %llu)\n",
+                 (unsigned long long)mem_paged.resident_min,
+                 (unsigned long long)mem_paged.resident_max,
+                 (unsigned long long)mem_paged.resident_total);
+    return 1;
   }
+  if (mem_paged.resident_total == 0 ||
+      mem_eager.resident_total < 5 * mem_paged.resident_total) {
+    std::fprintf(stderr,
+                 "FAIL: paged fleet not >=5x smaller than eager (%llu vs %llu bytes)\n",
+                 (unsigned long long)mem_paged.resident_total,
+                 (unsigned long long)mem_eager.resident_total);
+    return 1;
+  }
+  std::printf("  reduction: %.1fx (gate: >=5x)\n",
+              (double)mem_eager.resident_total / (double)mem_paged.resident_total);
 
   // ---- Skewed fleet: work stealing vs static sharding ----
   std::printf("\n==== Skewed fleet: 1 hot + %zu duty-cycled boards ====\n\n",
               kSkewBoards - 1);
-  const bool paged_default = tock::PagedBank::kCompiled;
-  SkewLeg skew_base = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/true, paged_default);
-  SkewLeg skew_steal4 = RunSkewFleet(4, /*steal=*/true, /*idle_skip=*/true, paged_default);
-  SkewLeg skew_static4 = RunSkewFleet(4, /*steal=*/false, /*idle_skip=*/true, paged_default);
-  SkewLeg skew_noskip = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/false, paged_default);
+  SkewLeg skew_base = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/true, /*paged=*/true);
+  SkewLeg skew_steal4 = RunSkewFleet(4, /*steal=*/true, /*idle_skip=*/true, /*paged=*/true);
+  SkewLeg skew_static4 = RunSkewFleet(4, /*steal=*/false, /*idle_skip=*/true, /*paged=*/true);
+  SkewLeg skew_noskip = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/false, /*paged=*/true);
   SkewLeg skew_eager = RunSkewFleet(1, /*steal=*/true, /*idle_skip=*/true, /*paged=*/false);
   if (!skew_base.ok || !skew_steal4.ok || !skew_static4.ok || !skew_noskip.ok ||
       !skew_eager.ok) {
@@ -593,12 +588,10 @@ int main(int argc, char** argv) {
                   static_cast<double>(mem_eager.resident_total), "bytes");
   reporter.Record("mem_fleet_resident_paged_bytes",
                   static_cast<double>(mem_paged.resident_total), "bytes");
-  if (tock::PagedBank::kCompiled && mem_paged.resident_total != 0) {
-    reporter.Record("mem_fleet_reduction",
-                    static_cast<double>(mem_eager.resident_total) /
-                        static_cast<double>(mem_paged.resident_total),
-                    "x");
-  }
+  reporter.Record("mem_fleet_reduction",
+                  static_cast<double>(mem_eager.resident_total) /
+                      static_cast<double>(mem_paged.resident_total),
+                  "x");
   reporter.Record("skew_fleet_steal_speedup_4t", steal_speedup, "x");
   reporter.Record("skew_fleet_idle_skips", static_cast<double>(skew_base.idle_skips),
                   "epochs");

@@ -1,17 +1,17 @@
-// Host hot-path throughput: the interpreter engine ladder. Four legs share one
-// binary and one two-app workload, differing only in runtime KernelConfig
-// switches:
+// Host hot-path throughput: the two interpreter engines. Both legs share one
+// binary and one two-app workload, differing only in
+// KernelConfig::enable_threaded_dispatch:
 //
-//   baseline     fetch/decode/execute per instruction (no host-side caching)
-//   decode-cache predecoded instruction cache (vm/decode.h), per-insn kernel loop
-//   threaded     batch engine: computed-goto dispatch (vm/cpu.cc RunBatch) with
+//   decode-cache the Cpu::Step reference engine over the predecoded instruction
+//                cache (vm/decode.h), one kernel loop iteration per instruction
+//   threaded+sb  batch engine: computed-goto dispatch (vm/cpu.cc RunBatch),
+//                superblock chaining (straight-line runs executed without
+//                per-insn budget/lookup checks, chained across branches) and
 //                block-boundary cycle accounting in the kernel
-//   threaded+sb  batch engine + superblock chaining (straight-line runs executed
-//                without per-insn budget/lookup checks, chained across branches)
 //
-// The bench proves both halves of the hot-path claim on every rung:
+// The bench proves both halves of the hot-path claim:
 //
-//   * identical simulation: all legs must retire the same instruction count,
+//   * identical simulation: both legs must retire the same instruction count,
 //     execute the same syscall mix, and end on the same cycle — any divergence
 //     is a hard failure, not a slow result;
 //   * faster host: the threaded+superblocks leg must be at least 2x the
@@ -78,17 +78,13 @@ loop:
 constexpr uint64_t kSimCycles = 30'000'000;
 
 struct EngineLeg {
-  const char* name;        // human label and Record key suffix
-  bool decode_cache;
+  const char* name;  // human label
   bool threaded;
-  bool superblocks;
 };
 
 constexpr EngineLeg kLegs[] = {
-    {"baseline", false, false, false},
-    {"decode_cache", true, false, false},
-    {"threaded", true, true, false},
-    {"threaded_superblocks", true, true, true},
+    {"decode_cache", false},
+    {"threaded_superblocks", true},
 };
 constexpr size_t kNumLegs = sizeof(kLegs) / sizeof(kLegs[0]);
 
@@ -106,9 +102,7 @@ struct RunResult {
 
 RunResult RunWorkload(const EngineLeg& leg) {
   tock::BoardConfig config;
-  config.kernel.enable_decode_cache = leg.decode_cache;
   config.kernel.enable_threaded_dispatch = leg.threaded;
-  config.kernel.enable_superblocks = leg.superblocks;
   tock::SimBoard board(config);
 
   tock::AppSpec compute;
@@ -151,16 +145,7 @@ RunResult RunWorkload(const EngineLeg& leg) {
 int main(int argc, char** argv) {
   tock::bench::BenchReporter reporter("tab_hotpath_throughput", &argc, argv);
 
-  std::printf("==== Hot-path throughput: interpreter engine ladder, two-app workload ====\n\n");
-  if (!tock::KernelConfig::decode_cache_compiled) {
-    std::printf("note: built with -DTOCK_DECODE_CACHE=OFF — the cache-dependent legs\n"
-                "degrade to the fetch/decode interpreter, so expect ~1.0x speedups.\n\n");
-  }
-  if (!tock::KernelConfig::superblocks_compiled) {
-    std::printf("note: built with -DTOCK_SUPERBLOCKS=OFF — the threaded+superblocks\n"
-                "leg runs the plain threaded engine; the 2x gate vs decode-cache\n"
-                "still applies to the threaded engine itself.\n\n");
-  }
+  std::printf("==== Hot-path throughput: interpreter engines, two-app workload ====\n\n");
 
   // Slowest leg first so no leg inherits a warm host (page cache, branch
   // predictors) advantage from ordering alone; each leg builds its own board.
@@ -172,18 +157,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bit-identical simulation across every leg is the contract that lets the
-  // golden traces stand no matter which engine a build or preset selects.
+  // Bit-identical simulation across both legs is the contract that lets the
+  // golden traces stand no matter which engine a board selects.
   const RunResult& ref = results[0];
   for (size_t i = 1; i < kNumLegs; ++i) {
     const RunResult& r = results[i];
     if (r.instructions != ref.instructions || r.syscalls != ref.syscalls ||
         r.upcalls != ref.upcalls || r.end_cycles != ref.end_cycles) {
       std::fprintf(stderr,
-                   "FAIL: engine leg '%s' diverged from baseline\n"
+                   "FAIL: engine leg '%s' diverged from '%s'\n"
                    "  insns   %llu vs %llu\n  syscalls %llu vs %llu\n"
                    "  upcalls %llu vs %llu\n  cycles  %llu vs %llu\n",
-                   kLegs[i].name, (unsigned long long)r.instructions,
+                   kLegs[i].name, kLegs[0].name, (unsigned long long)r.instructions,
                    (unsigned long long)ref.instructions, (unsigned long long)r.syscalls,
                    (unsigned long long)ref.syscalls, (unsigned long long)r.upcalls,
                    (unsigned long long)ref.upcalls, (unsigned long long)r.end_cycles,
@@ -214,27 +199,19 @@ int main(int argc, char** argv) {
                 (unsigned long long)results[i].chain_hits);
   }
   std::printf("\n  sim instructions %llu  syscalls %llu  upcalls %llu  end cycle %llu"
-              "  (identical on every leg)\n",
+              "  (identical on both legs)\n",
               (unsigned long long)ref.instructions, (unsigned long long)ref.syscalls,
               (unsigned long long)ref.upcalls, (unsigned long long)ref.end_cycles);
 
-  double speedup_cache = insn_per_sec[1] / insn_per_sec[0];
-  double speedup_threaded = insn_per_sec[2] / insn_per_sec[1];
-  double speedup_sb = insn_per_sec[3] / insn_per_sec[1];
-  std::printf("\n  speedup decode-cache vs baseline:        %.2fx\n", speedup_cache);
-  std::printf("  speedup threaded vs decode-cache:        %.2fx\n", speedup_threaded);
-  std::printf("  speedup threaded+sb vs decode-cache:     %.2fx  (gate: >= 2x)\n",
+  double speedup_sb = insn_per_sec[1] / insn_per_sec[0];
+  std::printf("\n  speedup threaded+sb vs decode-cache:     %.2fx  (gate: >= 2x)\n",
               speedup_sb);
   std::printf("  ns per syscall dispatch:                 %.1f\n", ns_per_syscall);
 
-  // Keep the pre-ladder key names alive so longitudinal BENCH_results.json
-  // comparisons still line up: cache_off == baseline, cache_on == decode-cache.
-  reporter.Record("sim_insn_per_sec/cache_off", insn_per_sec[0], "insn/s");
-  reporter.Record("sim_insn_per_sec/cache_on", insn_per_sec[1], "insn/s");
-  reporter.Record("sim_insn_per_sec/threaded", insn_per_sec[2], "insn/s");
-  reporter.Record("sim_insn_per_sec/threaded_superblocks", insn_per_sec[3], "insn/s");
-  reporter.Record("speedup_cache_on_vs_off", speedup_cache, "x");
-  reporter.Record("speedup_threaded_vs_cache", speedup_threaded, "x");
+  // Key names predate the two-leg bench; kept so longitudinal BENCH_results.json
+  // comparisons still line up (cache_on == the decode-cache Step leg).
+  reporter.Record("sim_insn_per_sec/cache_on", insn_per_sec[0], "insn/s");
+  reporter.Record("sim_insn_per_sec/threaded_superblocks", insn_per_sec[1], "insn/s");
   reporter.Record("speedup_superblocks_vs_cache", speedup_sb, "x");
   reporter.Record("ns_per_syscall_dispatch", ns_per_syscall, "ns");
   reporter.Record("decode_cache_fills", static_cast<double>(best.cache_fills), "fills");
@@ -249,8 +226,8 @@ int main(int argc, char** argv) {
                  speedup_sb);
   }
 
-  std::printf("\nshape: identical instruction/syscall/cycle counts prove every engine is\n"
-              "invisible to the simulation; the wall-clock ladder is the dispatch-\n"
-              "overhead payoff (decode once -> thread dispatch -> chain superblocks).\n");
+  std::printf("\nshape: identical instruction/syscall/cycle counts prove the engine is\n"
+              "invisible to the simulation; the wall-clock gap is the dispatch-\n"
+              "overhead payoff (thread dispatch + chain superblocks over the cache).\n");
   return gate_ok ? 0 : 1;
 }

@@ -3,7 +3,14 @@
 # (schema "tock-bench-v1", see bench/bench_json.h) into one machine-readable
 # results file:
 #
-#   {"schema":"tock-bench-results-v1","results":[ <per-bench doc>, ... ]}
+#   {"schema":"tock-bench-results-v1","results":[ <per-bench doc>, ... ],
+#    "failed":[ {"bench":"<name>","exit_code":N,"json":true|false}, ... ]}
+#
+# A failing bench does not stop collection: every bench runs, each document a
+# bench wrote is kept (BenchReporter writes it on exit, gate failures included),
+# and each bench that exited nonzero or wrote no document is listed in "failed".
+# The script exits 1 when "failed" is not empty. A missing binary is listed with
+# exit code 127.
 #
 # Usage: scripts/bench_collect.sh [output.json]
 #   BUILD_DIR=build-foo scripts/bench_collect.sh    # non-default build tree
@@ -26,17 +33,26 @@ tab_telemetry_overhead"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT INT TERM
 
+failed=""
 for b in $BENCHES; do
   bin="$BUILD_DIR/bench/$b"
-  if [ ! -x "$bin" ]; then
+  json="$tmpdir/$b.json"
+  code=0
+  if [ -x "$bin" ]; then
+    echo "==== running $b ===="
+    "$bin" --json "$json" || code=$?
+  else
     echo "error: $bin not found — build first (cmake --build $BUILD_DIR)" >&2
-    exit 1
+    code=127
   fi
-  echo "==== running $b ===="
-  "$bin" --json "$tmpdir/$b.json"
-  if [ ! -s "$tmpdir/$b.json" ]; then
+  has_json=true
+  if [ ! -s "$json" ]; then
     echo "error: $b produced no JSON output" >&2
-    exit 1
+    has_json=false
+  fi
+  if [ "$code" -ne 0 ] || [ "$has_json" = false ]; then
+    [ "$code" -ne 0 ] && echo "error: $b exited $code" >&2
+    failed="$failed $b:$code:$has_json"
   fi
 done
 
@@ -44,11 +60,23 @@ done
   printf '{"schema":"tock-bench-results-v1","results":[\n'
   first=1
   for b in $BENCHES; do
+    [ -s "$tmpdir/$b.json" ] || continue
     if [ "$first" = 1 ]; then first=0; else printf ',\n'; fi
     # Strip the trailing newline so the separator placement stays tidy.
     printf '%s' "$(cat "$tmpdir/$b.json")"
   done
-  printf '\n]}\n'
+  printf '\n],"failed":['
+  first=1
+  for f in $failed; do
+    if [ "$first" = 1 ]; then first=0; else printf ','; fi
+    rest="${f#*:}"  # f is name:exit_code:json
+    printf '{"bench":"%s","exit_code":%s,"json":%s}' "${f%%:*}" "${rest%%:*}" "${rest#*:}"
+  done
+  printf ']}\n'
 } >"$OUT"
 
 echo "wrote $OUT ($(wc -c <"$OUT") bytes, $(echo "$BENCHES" | wc -w) benches)"
+if [ -n "$failed" ]; then
+  echo "error: failed benches:$failed" >&2
+  exit 1
+fi

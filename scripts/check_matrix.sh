@@ -1,19 +1,16 @@
 #!/usr/bin/env sh
-# Builds and tests the supported configuration matrix:
-#   default              — TOCK_TRACE=ON,  TOCK_DECODE_CACHE=ON
-#   trace-off            — TOCK_TRACE=OFF (observability compiled out; must impose
-#                          zero cost and zero behavior change when absent)
-#   decode-off           — TOCK_DECODE_CACHE=OFF (VM predecode cache compiled out;
-#                          the escape-hatch interpreter must be bit-identical)
-#   trace-off-decode-off — both hot-path subsystems compiled out together
-#   telemetry-off        — TOCK_TELEMETRY=OFF (live shm transport compiled out;
-#                          boards must behave identically without it)
-#   superblocks-off      — TOCK_SUPERBLOCKS=OFF (superblock chaining compiled out;
-#                          the plain threaded batch engine must be bit-identical)
-#   paged-mem-off        — TOCK_PAGED_MEM=OFF (copy-on-write paged board memory
-#                          compiled out; eager flat banks must be bit-identical)
-# and, for each preset, sweeps the scheduler dimension: the full suite under the
-# default round-robin policy, then again under the cooperative policy via the
+# Builds and tests the supported configuration matrix, one preset per CMake
+# feature switch:
+#   default       — TOCK_TRACE=ON, TOCK_TELEMETRY=ON
+#   trace-off     — TOCK_TRACE=OFF (observability compiled out; must impose
+#                   zero cost and zero behavior change when absent)
+#   telemetry-off — TOCK_TELEMETRY=OFF (live shm transport compiled out;
+#                   boards must behave identically without it)
+# The interpreter engine and the board memory backing are runtime choices
+# (KernelConfig::enable_threaded_dispatch, BoardConfig::paged_mem); the suite's
+# parity tests race both sides of each inside one binary. For each preset the
+# script sweeps the scheduler dimension: the full suite under the default
+# round-robin policy, then again under the cooperative policy via the
 # TOCK_SCHED_POLICY override (board/sim_board.cc). The cooperative leg excludes
 # the tests that *require* preemption or round-robin behavior by construction:
 #   - KernelTest.InfiniteLoopCannotStarveNeighbor: the claim under test IS
@@ -32,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 COOP_EXCLUDE='KernelTest.InfiniteLoopCannotStarveNeighbor|AsyncLoader\.|LoaderCorruption.BitFlippedSignatureFailsTheAuthenticityStep|FaultPolicy.AppBreakResetsAndPeerGrantsSurviveRestart|Profiler.GoldenChromeTraceTwoApps|^fault_soak$'
 
-for preset in default trace-off decode-off trace-off-decode-off telemetry-off superblocks-off paged-mem-off; do
+for preset in default trace-off telemetry-off; do
   echo "==== preset: $preset, policy: round-robin (default) ===="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)"
@@ -71,4 +68,4 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -R 'Fleet|RadioHw|RadioFaults|Ota|Telemetry|SpscRing|Superblock|MidRunFlash|Paged' "$@"
 
-echo "==== matrix OK (trace on/off x decode-cache on/off x telemetry on/off x superblocks on/off x paged-mem on/off, round-robin + cooperative, fleet + OTA + telemetry + tsan) ===="
+echo "==== matrix OK (trace on/off x telemetry on/off, round-robin + cooperative, fleet + OTA + telemetry + tsan) ===="

@@ -73,11 +73,11 @@ struct BoardConfig {
   KernelConfig kernel;
   // Back this board's flash/RAM with 4 KiB copy-on-write pages (hw/paged_mem.h):
   // flash pages reference a fleet-shared immutable base image until first write,
-  // RAM pages materialize on first write. Defaults to the build-wide setting
-  // (-DTOCK_PAGED_MEM); the runtime knob exists so benchmarks can compare paged
-  // and eager boards inside one binary. Simulated behavior is bit-identical
-  // either way — only host memory usage (mem.resident_bytes) differs.
-  bool paged_mem = PagedBank::kCompiled;
+  // RAM pages materialize on first write. false backs both banks eagerly: the
+  // oracle the paged-parity tests compare against and the baseline of the fleet
+  // residency bench. Simulated behavior is bit-identical either way — only host
+  // memory usage (mem.resident_bytes) differs.
+  bool paged_mem = true;
   uint32_t rng_seed = 0xC0FFEE;
   uint16_t radio_addr = 1;
   RadioMedium* medium = nullptr;  // attach to a shared radio medium (multi-board)

@@ -428,6 +428,9 @@ class OtaGateway : public hil::RadioClient, public hil::AlarmClient {
   }
 
   void HandleStatus(Peer& p, uint8_t code) {
+    if (p.state == PeerState::kConverged || p.state == PeerState::kFailed) {
+      return;  // duplicated status for a resolved peer: already in the ledger
+    }
     p.last_status = code;
     if (code == OtaWire::kStatusOk) {
       p.state = PeerState::kConverged;

@@ -25,7 +25,7 @@ class Mcu {
  public:
   // `paged_mem` selects the 4 KiB COW backing store for flash/RAM (hw/paged_mem.h);
   // false allocates both banks eagerly. Behavior is bit-identical either way.
-  explicit Mcu(bool paged_mem = PagedBank::kCompiled) : bus_(&mpu_, paged_mem) {}
+  explicit Mcu(bool paged_mem = true) : bus_(&mpu_, paged_mem) {}
 
   SimClock& clock() { return clock_; }
   InterruptController& irq() { return irq_; }

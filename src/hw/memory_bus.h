@@ -60,7 +60,7 @@ struct BusFault {
 
 class MemoryBus {
  public:
-  explicit MemoryBus(Mpu* mpu, bool paged = PagedBank::kCompiled)
+  explicit MemoryBus(Mpu* mpu, bool paged = true)
       : mpu_(mpu),
         flash_(MemoryMap::kFlashSize, 0xFF, paged),
         ram_(MemoryMap::kRamSize, 0x00, paged) {}
@@ -127,7 +127,6 @@ class MemoryBus {
   uint64_t resident_bytes() const {
     return flash_.resident_bytes() + ram_.resident_bytes();
   }
-  bool paged() const { return flash_.paged(); }
 
   // Counters for the MMIO-cost experiments.
   uint64_t mmio_accesses() const { return mmio_accesses_; }

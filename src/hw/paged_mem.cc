@@ -7,7 +7,7 @@
 namespace tock {
 
 PagedBank::PagedBank(uint32_t size, uint8_t fill, bool paged)
-    : size_(size), fill_(fill), paged_(kCompiled && paged) {
+    : size_(size), fill_(fill), paged_(paged) {
   assert(size != 0 && (size & kPageMask) == 0);
   const uint32_t pages = size >> kPageShift;
   read_ptrs_.resize(pages);

@@ -5,9 +5,9 @@
 // copy-on-write — reads hit either a fleet-shared immutable base image (boards
 // flashed from the same TBF set share flash pages until OTA/ProgramFlash diverges
 // them), a static fill page (0x00 for RAM, 0xFF for erased flash), or a private
-// page materialized by the first write. `-DTOCK_PAGED_MEM=OFF` compiles the paged
-// paths out entirely; the same binary can also run a bank eagerly at runtime
-// (paged=false) so benches can compare both modes in one process.
+// page materialized by the first write. A bank can also run eagerly (paged=false,
+// BoardConfig::paged_mem): one flat allocation that serves as the parity oracle
+// for the paged mode and the baseline for fleet residency measurements.
 //
 // Determinism: paging is invisible to the simulation. Every read returns exactly
 // the bytes an eager vector would hold, every write lands at the same offset; the
@@ -20,17 +20,10 @@
 #include <memory>
 #include <vector>
 
-// Compile-time gate: when OFF, PagedBank is a thin wrapper over one contiguous
-// vector and the COW machinery is dead code the optimizer drops.
-#ifndef TOCK_PAGED_MEM_ENABLED
-#define TOCK_PAGED_MEM_ENABLED 1
-#endif
-
 namespace tock {
 
 class PagedBank {
  public:
-  static constexpr bool kCompiled = TOCK_PAGED_MEM_ENABLED != 0;
   static constexpr uint32_t kPageShift = 12;
   static constexpr uint32_t kPageSize = 1u << kPageShift;  // 4 KiB
   static constexpr uint32_t kPageMask = kPageSize - 1;
@@ -106,7 +99,6 @@ class PagedBank {
     return paged_ ? static_cast<uint64_t>(resident_pages_) * kPageSize : size_;
   }
 
-  bool paged() const { return paged_; }
   uint32_t size() const { return size_; }
 
  private:

@@ -50,16 +50,6 @@ Kernel::Kernel(Mcu* mcu, SysTick* systick, const KernelConfig& config)
     : mcu_(mcu), systick_(systick), config_(config), cpu_(&mcu->bus()) {
   // The kernel owns the SysTick interrupt line for preemption.
   mcu_->irq().Enable(kSysTickIrqLine);
-  // The runtime engine switches exist so one binary can compare every engine leg
-  // (the hotpath bench); they cannot resurrect compiled-out code. Superblocks
-  // additionally require the decode cache (blocks live in its tables) and the
-  // batch engine (the per-insn loop never executes blocks).
-  config_.enable_decode_cache =
-      config_.enable_decode_cache && KernelConfig::decode_cache_compiled;
-  config_.enable_superblocks = config_.enable_superblocks &&
-                               KernelConfig::superblocks_compiled &&
-                               config_.enable_decode_cache &&
-                               config_.enable_threaded_dispatch;
   // Watch the one modeled flash-write path so reprogrammed code can never execute
   // from a stale predecoded record (vm/decode.h).
   mcu_->bus().set_flash_observer(this);
@@ -634,11 +624,11 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
   // license to skip the per-fetch execute check (vm/decode.h). The tables allocate
   // lazily here, on the process's first dispatch — not at CreateProcess — so slots
   // that never run cost nothing; ReleaseVmCache frees them at every life-end.
-  if (config_.enable_decode_cache && !p.decode_cache.IsConfigured()) {
-    p.decode_cache.Configure(p.flash_start, p.flash_size, config_.enable_superblocks);
+  if (!p.decode_cache.IsConfigured()) {
+    p.decode_cache.Configure(p.flash_start, p.flash_size);
     trace_.RecordVmCacheBytes(static_cast<int64_t>(p.decode_cache.MemoryBytes()));
   }
-  cpu_.set_decode_cache(config_.enable_decode_cache ? &p.decode_cache : nullptr);
+  cpu_.set_decode_cache(&p.decode_cache);
 
   // An absent timeslice is the cooperative contract: ArmCycles(0) schedules
   // nothing, so the process runs until it blocks or other hardware interrupts.
@@ -651,7 +641,6 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
   const InterruptController& irq = mcu_->irq();
   const SimClock& clock = mcu_->clock();
   const bool threaded = config_.enable_threaded_dispatch;
-  const bool superblocks = config_.enable_superblocks;
 
   // Batched block-boundary accounting (the batch engine below) folds the
   // per-instruction Tick into one Tick(executed) at the batch boundary. That is
@@ -698,7 +687,7 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
       uint32_t max_insns =
           budget > kMaxBatchInsns ? static_cast<uint32_t>(kMaxBatchInsns)
                                   : static_cast<uint32_t>(budget);
-      Cpu::BatchResult batch = cpu_.RunBatch(p.ctx, max_insns, superblocks);
+      Cpu::BatchResult batch = cpu_.RunBatch(p.ctx, max_insns);
       mcu_->Tick(batch.executed);
       if (batch.blocks_built != 0 || batch.chain_hits != 0) {
         trace_.RecordVmBlocks(batch.blocks_built, batch.chain_hits);
@@ -708,7 +697,7 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
       }
       result = batch.status;
     } else {
-      // Per-insn reference engine: runtime-disabled threading, or a fault
+      // Per-insn reference engine: enable_threaded_dispatch = false, or a fault
       // injector with armed CPU faults (OnInstruction must see every pc).
       if (fault_injector_ != nullptr) {
         if (auto injected = fault_injector_->OnInstruction(p.id.index, p.ctx.pc)) {

@@ -234,19 +234,14 @@ const char* StatName(StatId id) {
   return "?";
 }
 
-bool StatIsTelemetryTransport(StatId id) {
+bool StatIsHostOnly(StatId id) {
   switch (id) {
+    // Live telemetry transport: host-side publishing work, identical with or
+    // without a tap attached.
     case StatId::kTelemetryEventsEmitted:
     case StatId::kTelemetryEventsDropped:
     case StatId::kTelemetrySuppressed:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool StatIsHostOnly(StatId id) {
-  switch (id) {
+    // Interpreter engine bookkeeping, which differs across engines.
     case StatId::kVmBlocksBuilt:
     case StatId::kVmBlocksInvalidated:
     case StatId::kVmBlockChainHits:
@@ -257,7 +252,7 @@ bool StatIsHostOnly(StatId id) {
     case StatId::kFleetIdleSkips:
       return true;
     default:
-      return StatIsTelemetryTransport(id);
+      return false;
   }
 }
 

@@ -89,7 +89,7 @@ struct KernelStats {
   // storm suppressor (suppressed). Transport bookkeeping, not kernel events:
   // excluded from DumpStats and the exporter sidecar so golden traces and
   // fleet fingerprints are bit-identical with telemetry on or off
-  // (StatIsTelemetryTransport); read them via StatValue / the stats syscall.
+  // (StatIsHostOnly); read them via StatValue / the stats syscall.
   uint64_t telemetry_events_emitted = 0;
   uint64_t telemetry_events_dropped = 0;
   uint64_t telemetry_suppressed = 0;
@@ -97,7 +97,7 @@ struct KernelStats {
   // Interpreter v2 engine counters (vm/decode.h superblocks): host-side engine
   // bookkeeping, not simulated kernel events — excluded from golden surfaces the
   // same way as the telemetry transport counters (StatIsHostOnly), since they
-  // differ across engine legs that are simulated-state identical. vm_cache_bytes
+  // differ across engines that are simulated-state identical. vm_cache_bytes
   // is a gauge (current decode+block table heap bytes), maintained with +/-
   // deltas so Accumulate still sums meaningfully across a fleet.
   uint64_t vm_blocks_built = 0;
@@ -173,18 +173,14 @@ enum class StatId : uint32_t {
 uint64_t StatValue(const KernelStats& stats, StatId id);
 const char* StatName(StatId id);
 
-// True for the transport-bookkeeping counters (telemetry_*): they count host-
-// side publishing work, not simulated kernel events, so the golden-locked text
-// dump and the exporter's tockStats sidecar skip them — attaching a tap must
-// not change a byte of any golden artifact. They remain readable through the
-// stats syscall (append-only StatIds) and the fleet aggregate table.
-bool StatIsTelemetryTransport(StatId id);
-
 // True for every counter that measures host-side machinery rather than simulated
-// kernel events: the telemetry transport counters plus the interpreter-v2 engine
-// counters (vm_*, which vary across engine legs and presets that are simulated-
-// state identical). This is the predicate the golden surfaces — DumpStats and the
-// exporter's tockStats sidecar — actually use.
+// kernel events: the telemetry transport counters (telemetry_*), the interpreter
+// engine counters (vm_*, which differ across engines that are simulated-state
+// identical) and the fleet scale-out counters (mem_resident_bytes,
+// fleet_idle_skips). The golden-locked text dump and the exporter's tockStats
+// sidecar skip them, so attaching a tap or switching engine, paging or idle
+// skipping does not change a byte of any golden artifact. They remain readable
+// through the stats syscall (append-only StatIds) and the fleet aggregate table.
 bool StatIsHostOnly(StatId id);
 
 // One recorded kernel event. `pid` is the process slot the event concerns (0xFF =

@@ -132,7 +132,7 @@ struct Options {
   // simulated results — they exist so benchmarks can compare modes.
   bool steal = true;      // work-stealing board assignment vs static sharding
   bool idle_skip = true;  // idle-board epoch fast-forward
-  bool paged = tock::PagedBank::kCompiled;  // copy-on-write paged board memory
+  bool paged = true;  // copy-on-write paged board memory
   // Print host peak RSS and the paged-memory resident footprint after the run.
   bool report_rss = false;
   // OTA scenario: board 0 becomes a gateway pushing a signed app update to every
@@ -484,7 +484,7 @@ int main(int argc, char** argv) {
   }
   std::printf("  mem resident     %.2f MiB board flash+RAM (%s backing)\n",
               static_cast<double>(resident) / (1024.0 * 1024.0),
-              opts.paged && tock::PagedBank::kCompiled ? "paged" : "eager");
+              opts.paged ? "paged" : "eager");
   std::printf("  idle skips       %llu epochs fast-forwarded\n",
               static_cast<unsigned long long>(totals.aggregate.fleet_idle_skips));
   if (!opts.telemetry.empty()) {

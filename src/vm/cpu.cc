@@ -6,7 +6,7 @@
 //     observation is required (armed CPU-fault injection).
 //   * RunBatch — the threaded-dispatch batch engine: computed-goto dispatch under
 //     __GNUC__ (a portable switch otherwise), superblock execution and chaining
-//     when the bound DecodeCache carries block tables.
+//     through the bound DecodeCache's block table.
 //
 // The engines are architecturally bit-identical by construction: dispatch and
 // exit plumbing differ, instruction semantics cannot (one copy of every body).
@@ -147,12 +147,10 @@ uint32_t Cpu::BuildBlock(DecodeCache& cache, uint32_t start_idx) {
   return len;
 }
 
-Cpu::BatchResult Cpu::RunBatch(CpuContext& ctx, uint32_t max_insns, bool superblocks) {
+Cpu::BatchResult Cpu::RunBatch(CpuContext& ctx, uint32_t max_insns) {
   BatchResult res;
   auto& x = ctx.x;
   DecodeCache* const cache = cache_;
-  const bool use_blocks = DecodeCache::kSuperblocksCompiled && superblocks &&
-                          cache != nullptr && cache->blocks_enabled();
   uint32_t executed = 0;
   bool was_in_block = false;
   const DecodedInsn* dp = nullptr;
@@ -207,26 +205,24 @@ dispatch:
         *slot = Decode(*fetched);
         cache->NoteFill();
       }
-      if (use_blocks) {
-        uint32_t idx = cache->IndexOf(slot);
-        uint32_t blk = cache->BlockLenAt(idx);
-        if (blk == 0) {
-          blk = BuildBlock(*cache, idx);
-          if (blk != 0) {
-            ++res.blocks_built;
-          }
+      uint32_t idx = cache->IndexOf(slot);
+      uint32_t blk = cache->BlockLenAt(idx);
+      if (blk == 0) {
+        blk = BuildBlock(*cache, idx);
+        if (blk != 0) {
+          ++res.blocks_built;
         }
-        if (blk > 1 && blk <= max_insns - executed) {
-          if (was_in_block) {
-            ++res.chain_hits;  // terminator target started another known block
-          }
-          was_in_block = true;
-          dp = slot;
-          blk_next = slot + 1;
-          blk_rem = blk - 1;
-          next_pc = pc + 4;
-          goto have_insn;
+      }
+      if (blk > 1 && blk <= max_insns - executed) {
+        if (was_in_block) {
+          ++res.chain_hits;  // terminator target started another known block
         }
+        was_in_block = true;
+        dp = slot;
+        blk_next = slot + 1;
+        blk_rem = blk - 1;
+        next_pc = pc + 4;
+        goto have_insn;
       }
       was_in_block = false;
       dp = slot;

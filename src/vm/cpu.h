@@ -89,14 +89,14 @@ class Cpu {
 
   // Threaded-dispatch batch engine: executes up to `max_insns` instructions and
   // returns on the first trap/fault/upcall-return, with computed-goto dispatch
-  // under __GNUC__ (portable switch otherwise) and — when `superblocks` is set
-  // and the bound cache has block tables — superblock execution and chaining.
+  // under __GNUC__ (portable switch otherwise) and, for pcs the bound cache
+  // covers, superblock execution and chaining.
   // Architecturally bit-identical to calling Step() `max_insns` times: same
   // handler bodies (vm/interp_ops.inc), same fault/trap semantics, same
   // instructions_retired(). The caller guarantees nothing observable (IRQ state,
   // clock events, deadline) can change within the batch window; the kernel picks
   // max_insns = cycles-to-next-event to make that hold.
-  BatchResult RunBatch(CpuContext& ctx, uint32_t max_insns, bool superblocks);
+  BatchResult RunBatch(CpuContext& ctx, uint32_t max_insns);
 
   // Binds the running process's predecoded-instruction cache (nullptr = none). The
   // kernel rebinds on every process dispatch; unit tests drive it directly.

@@ -518,7 +518,6 @@ TEST(FaultInjection, MidRunFlashCorruptionUnderSuperblocksMatchesPerInsnEngine) 
   auto run = [](bool batch_engine) {
     BoardConfig config;
     config.kernel.enable_threaded_dispatch = batch_engine;
-    config.kernel.enable_superblocks = batch_engine;
     SimBoard board(config);
     AppSpec worker;
     worker.name = "worker";
@@ -554,14 +553,12 @@ TEST(FaultInjection, MidRunFlashCorruptionUnderSuperblocksMatchesPerInsnEngine) 
   EXPECT_EQ(batch.syscalls, perinsn.syscalls);
   EXPECT_EQ(batch.cycles, perinsn.cycles);
 
-  if (KernelConfig::trace_enabled && KernelConfig::decode_cache_compiled) {
+  if (KernelConfig::trace_enabled) {
     // The terminal fault released the tables, settling the gauge to zero.
     EXPECT_EQ(batch.cache_bytes, 0u);
-    if (DecodeCache::kSuperblocksCompiled) {
-      // At least the corrupted word's block plus the blocks dying with the
-      // released tables.
-      EXPECT_GT(batch.blocks_invalidated, 0u);
-    }
+    // At least the corrupted word's block plus the blocks dying with the
+    // released tables.
+    EXPECT_GT(batch.blocks_invalidated, 0u);
   }
 }
 

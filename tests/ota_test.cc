@@ -187,6 +187,24 @@ TEST(OtaDistribution, LossyLinksConverge) {
   EXPECT_GT(ota.gateway().stats().retransmits, 0u);
 }
 
+// A duplicated kStatus frame for a peer the gateway already resolved must not
+// reach the ledger a second time: every subscriber is counted exactly once, as
+// converged or failed, however many copies of its final status arrive.
+TEST(OtaDistribution, DuplicatedStatusCountedOnce) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(testing::Message() << "fault seed " << seed);
+    LinkFaultConfig faults;
+    faults.seed = seed;
+    faults.duplicate_permille = 300;
+    OtaFleet ota(1, /*subscribers=*/8, faults, SignedUpdate());
+    ota.RunUntilDone(120'000'000);
+
+    ASSERT_TRUE(ota.gateway().Done());
+    EXPECT_GT(ota.fleet->Stats().frames_duplicated, 0u);
+    EXPECT_EQ(ota.gateway().stats().converged + ota.gateway().stats().failed, 8u);
+  }
+}
+
 TEST(OtaDistribution, HeavyLossStillConverges) {
   // 30% drop: deep backoff territory; convergence just takes longer.
   LinkFaultConfig faults;

@@ -25,9 +25,7 @@ constexpr uint32_t kPage = PagedBank::kPageSize;
 
 TEST(PagedBankTest, FillReadsAndPageStraddlingAccesses) {
   PagedBank bank(4 * kPage, 0xFF, /*paged=*/true);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), 0u);  // nothing written, nothing committed
-  }
+  EXPECT_EQ(bank.resident_bytes(), 0u);  // nothing written, nothing committed
 
   // Reads before any write resolve from the shared fill page — including a read
   // that straddles a page line.
@@ -43,9 +41,7 @@ TEST(PagedBankTest, FillReadsAndPageStraddlingAccesses) {
   bank.Write(kPage - 4, data, sizeof(data));
   bank.Read(kPage - 4, buf, sizeof(buf));
   EXPECT_EQ(std::memcmp(buf, data, sizeof(data)), 0);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
-  }
+  EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
 
   // Neighboring bytes on the materialized pages still read as fill.
   uint8_t b = 0;
@@ -57,9 +53,6 @@ TEST(PagedBankTest, FillReadsAndPageStraddlingAccesses) {
 
 TEST(PagedBankTest, ContiguousSpansRefusePageLineCrossings) {
   PagedBank bank(2 * kPage, 0x00, /*paged=*/true);
-  if (!bank.paged()) {
-    GTEST_SKIP() << "paged paths compiled out (TOCK_PAGED_MEM=OFF)";
-  }
   // Within one page: a real borrowed pointer. Across the line: refused, the
   // caller must bounce — this is the contract the kernel's zero-copy
   // translation fast path relies on.
@@ -100,10 +93,8 @@ TEST(PagedBankTest, AdoptedBaseIsSharedUntilFirstWrite) {
   reader.Read(10, &v, 1);
   EXPECT_EQ(v, 0x5A);
   EXPECT_EQ((*base)[10], 0x5A);
-  if (writer.paged()) {
-    EXPECT_EQ(writer.resident_bytes(), kPage);
-    EXPECT_EQ(reader.resident_bytes(), 0u);
-  }
+  EXPECT_EQ(writer.resident_bytes(), kPage);
+  EXPECT_EQ(reader.resident_bytes(), 0u);
 }
 
 TEST(PagedBankTest, ResetRangeReleasesFullPagesAndRewritesPartials) {
@@ -111,18 +102,14 @@ TEST(PagedBankTest, ResetRangeReleasesFullPagesAndRewritesPartials) {
   const uint8_t mark = 0x77;
   bank.Write(kPage + 5, &mark, 1);
   bank.Write(2 * kPage + 5, &mark, 1);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
-  }
+  EXPECT_EQ(bank.resident_bytes(), 2u * kPage);
 
   // A reset fully covering page 1 releases it back to the fill backing.
   bank.ResetRange(kPage, kPage);
   uint8_t v = 0xEE;
   bank.Read(kPage + 5, &v, 1);
   EXPECT_EQ(v, 0x00);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), kPage);  // only page 2 remains private
-  }
+  EXPECT_EQ(bank.resident_bytes(), kPage);  // only page 2 remains private
 
   // A partial reset rewrites in place: the page stays private, untouched bytes
   // survive, the covered bytes return to backing.
@@ -132,9 +119,7 @@ TEST(PagedBankTest, ResetRangeReleasesFullPagesAndRewritesPartials) {
   EXPECT_EQ(v, 0x00);
   bank.Read(2 * kPage + 5, &v, 1);
   EXPECT_EQ(v, mark);
-  if (bank.paged()) {
-    EXPECT_EQ(bank.resident_bytes(), kPage);
-  }
+  EXPECT_EQ(bank.resident_bytes(), kPage);
 }
 
 // Worker whose loop head sits at entry+4, so a mid-run ProgramFlash can clobber
@@ -203,9 +188,7 @@ TEST(PagedParity, PagedBoardMatchesEagerAcrossMidRunFlashProgram) {
   EXPECT_EQ(paged.fingerprint, eager.fingerprint);
   EXPECT_EQ(eager.resident,
             uint64_t{MemoryMap::kFlashSize} + MemoryMap::kRamSize);
-  if (PagedBank::kCompiled) {
-    EXPECT_LT(paged.resident, eager.resident / 4);
-  }
+  EXPECT_LT(paged.resident, eager.resident / 4);
 }
 
 // A process restart reclaims the grant region (the app-accessible RAM below
@@ -213,9 +196,6 @@ TEST(PagedParity, PagedBoardMatchesEagerAcrossMidRunFlashProgram) {
 // RELEASE the fully covered private pages, returning host memory to the
 // fleet-shared backing.
 TEST(PagedParity, RestartReleasesReclaimedGrantPages) {
-  if (!PagedBank::kCompiled) {
-    GTEST_SKIP() << "paged paths compiled out (TOCK_PAGED_MEM=OFF)";
-  }
   BoardConfig config;
   config.paged_mem = true;
   // Default quota (12 KiB) barely fits the app; give the grant room to span

@@ -183,9 +183,12 @@ TEST(Profiler, SleepArgSaturationIsCountedAndCapped) {
   EXPECT_EQ(trace.stats().sleep_arg_saturations, 1u) << "normal sleeps must not count";
 }
 
-// Serializes the fixed two-app scenario to Chrome trace JSON.
-std::string ExportTwoApps() {
-  SimBoard board;
+// Serializes the fixed two-app scenario, run on the selected interpreter engine
+// (KernelConfig::enable_threaded_dispatch), to Chrome trace JSON.
+std::string ExportTwoApps(bool threaded_dispatch = true) {
+  BoardConfig config;
+  config.kernel.enable_threaded_dispatch = threaded_dispatch;
+  SimBoard board(config);
   AppSpec alpha;
   alpha.name = "alpha";
   alpha.source = kAlphaSource;
@@ -246,6 +249,9 @@ TEST(Profiler, GoldenChromeTraceTwoApps) {
   EXPECT_EQ(json, contents.str())
       << "Chrome-trace export diverged from the golden; if intentional, "
          "regenerate with TOCK_REGEN_GOLDEN=1";
+  // The per-instruction Cpu::Step reference engine must export the same bytes.
+  EXPECT_EQ(ExportTwoApps(/*threaded_dispatch=*/false), contents.str())
+      << "the reference engine diverged from the batch engine's golden export";
 }
 
 TEST(Profiler, BoardWritesTraceArtifactAtDestruction) {

@@ -583,7 +583,7 @@ TEST(Telemetry, TapRejectsMalformedRegions) {
 
 // Single board: stats + trace dumps with telemetry attached are byte-identical
 // to a board without it. (The transport counters are excluded from dumps by
-// design — StatIsTelemetryTransport — which is exactly what this locks in.)
+// design — StatIsHostOnly — which is exactly what this locks in.)
 TEST(Telemetry, BoardDumpBitIdenticalWithAndWithoutTelemetry) {
   if (!KernelTrace::kEnabled) {
     GTEST_SKIP() << "trace layer compiled out (TOCK_TRACE=OFF)";

@@ -59,10 +59,13 @@ msg:
     .asciz "B\n"
 )";
 
-// Boots a fixed two-app board, runs it for a fixed cycle budget, and returns the
-// kernel's full stats + trace dump.
-std::string BootTwoAppsAndDump() {
-  SimBoard board;
+// Boots a fixed two-app board on the selected interpreter engine
+// (KernelConfig::enable_threaded_dispatch), runs it for a fixed cycle budget, and
+// returns the kernel's full stats + trace dump.
+std::string BootTwoAppsAndDump(bool threaded_dispatch = true) {
+  BoardConfig config;
+  config.kernel.enable_threaded_dispatch = threaded_dispatch;
+  SimBoard board(config);
   AppSpec alpha;
   alpha.name = "alpha";
   alpha.source = kAlphaSource;
@@ -110,6 +113,10 @@ TEST(Trace, GoldenTwoApps) {
   EXPECT_EQ(dump, contents.str())
       << "kernel behaviour diverged from the golden trace; if intentional, "
          "regenerate with TOCK_REGEN_GOLDEN=1";
+  // The per-instruction Cpu::Step reference engine must produce the same dump,
+  // byte for byte: the engine is invisible to the simulation.
+  EXPECT_EQ(BootTwoAppsAndDump(/*threaded_dispatch=*/false), contents.str())
+      << "the reference engine diverged from the batch engine's golden trace";
 }
 
 TEST(Trace, CountersAreInternallyConsistent) {

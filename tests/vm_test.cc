@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <tuple>
 
 #include "hw/mcu.h"
@@ -134,6 +135,12 @@ struct AluCase {
   uint32_t b;
   uint32_t expected;
 };
+
+// Names each case by its contents; the default printer dumps the raw bytes,
+// which hold the `op` pointer and padding and so change from run to run.
+void PrintTo(const AluCase& c, std::ostream* os) {
+  *os << c.op << std::hex << "(0x" << c.a << ",0x" << c.b << ")=0x" << c.expected;
+}
 
 class AluTest : public VmTest, public ::testing::WithParamInterface<AluCase> {};
 
@@ -504,7 +511,7 @@ BatchRun RunBatched(Cpu* cpu, CpuContext& ctx, uint32_t batch_budget = 128,
                     uint64_t max_total = 100000) {
   BatchRun out;
   while (out.executed < max_total) {
-    Cpu::BatchResult b = cpu->RunBatch(ctx, batch_budget, /*superblocks=*/true);
+    Cpu::BatchResult b = cpu->RunBatch(ctx, batch_budget);
     out.executed += b.executed;
     out.chain_hits += b.chain_hits;
     if (b.status != StepResult::kOk) {
@@ -525,7 +532,7 @@ TEST_F(VmTest, SuperblockExecutionMatchesStepEngine) {
 
   Load(kMixedProgram);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu batch(&mcu_.bus());
   batch.set_decode_cache(&cache);
   BatchRun r = RunBatched(&batch, ctx_);
@@ -537,16 +544,11 @@ TEST_F(VmTest, SuperblockExecutionMatchesStepEngine) {
     EXPECT_EQ(ctx_.x[reg], step_ctx.x[reg]) << "x" << reg;
   }
   EXPECT_EQ(batch.instructions_retired(), step_retired);
-  if (DecodeCache::kSuperblocksCompiled) {
-    EXPECT_GT(cache.blocks_built(), 0u);
-    EXPECT_GT(r.chain_hits, 0u);  // the loop chains block-to-block across branches
-  }
+  EXPECT_GT(cache.blocks_built(), 0u);
+  EXPECT_GT(r.chain_hits, 0u);  // the loop chains block-to-block across branches
 }
 
 TEST_F(VmTest, SuperblockMidBlockFlashWriteInvalidatesWholeBlock) {
-  if (!DecodeCache::kSuperblocksCompiled) {
-    GTEST_SKIP() << "built with -DTOCK_SUPERBLOCKS=OFF";
-  }
   const char* v1 =
       "_start:\n    li a0, 1\n    li a1, 2\n    li a2, 3\n"
       "    add a3, a0, a1\n    add a3, a3, a2\n    ecall\n";
@@ -555,7 +557,7 @@ TEST_F(VmTest, SuperblockMidBlockFlashWriteInvalidatesWholeBlock) {
       "    add a3, a0, a1\n    add a3, a3, a2\n    ecall\n";
   Load(v1);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
@@ -583,9 +585,6 @@ TEST_F(VmTest, SuperblockMidBlockFlashWriteInvalidatesWholeBlock) {
 }
 
 TEST_F(VmTest, SuperblockBranchIntoMiddleBuildsFreshBlock) {
-  if (!DecodeCache::kSuperblocksCompiled) {
-    GTEST_SKIP() << "built with -DTOCK_SUPERBLOCKS=OFF";
-  }
   // First pass runs _start..beqz as one straight-line block; the second pass
   // jumps into `mid` — the middle of that block, where no block starts — so the
   // builder must lay down a fresh block at mid rather than reuse anything.
@@ -607,7 +606,7 @@ tomid:
     j mid
 )");
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   BatchRun r = RunBatched(&cpu, ctx_);
@@ -640,7 +639,7 @@ _start:
 
   Load(faulty);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   BatchRun r = RunBatched(&cpu, ctx_);
@@ -659,7 +658,7 @@ _start:
 TEST_F(VmTest, SuperblockReleaseDropsAllBlocksAndMemory) {
   Load(kMixedProgram);
   DecodeCache cache;
-  cache.Configure(kCodeBase, 4096, /*superblocks=*/true);
+  cache.Configure(kCodeBase, 4096);
   Cpu cpu(&mcu_.bus());
   cpu.set_decode_cache(&cache);
   ASSERT_EQ(RunBatched(&cpu, ctx_).status, StepResult::kEcall);
@@ -674,9 +673,7 @@ TEST_F(VmTest, SuperblockReleaseDropsAllBlocksAndMemory) {
   EXPECT_EQ(cache.MemoryBytes(), 0u);
   EXPECT_FALSE(cache.IsConfigured());
   EXPECT_EQ(cache.Lookup(kCodeBase), nullptr);
-  if (DecodeCache::kSuperblocksCompiled) {
-    EXPECT_GT(live_before, 0u);
-  }
+  EXPECT_GT(live_before, 0u);
 
   // The cpu still holds the released cache: execution falls back to the checked
   // bus path and reproduces the identical result.
