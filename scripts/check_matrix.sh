@@ -63,9 +63,14 @@ echo "==== OTA smoke: lossy multi-threaded signed-app push must converge ===="
 ./build/src/tools/fleet --ota --boards=9 --threads=4 --cycles=120000000 \
   --drop=100 --dup=20 --corrupt=10 >/dev/null
 
+echo "==== benchmark smoke: fingerprint identity, 1 vs 3 threads, traced vs untraced ===="
+# Every workload at a tiny size. The simulated fingerprint must not move with
+# the stepping thread count or with tracing, and a perturbed one must be caught.
+python3 tockbench/smoke_test.py
+
 echo "==== preset: tsan — fleet sharding + radio mailbox + lossy OTA + live telemetry under ThreadSanitizer ===="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -R 'Fleet|RadioHw|RadioFaults|Ota|Telemetry|SpscRing|Superblock|MidRunFlash|Paged' "$@"
 
-echo "==== matrix OK (trace on/off x telemetry on/off, round-robin + cooperative, fleet + OTA + telemetry + tsan) ===="
+echo "==== matrix OK (trace on/off x telemetry on/off, round-robin + cooperative, fleet + OTA + telemetry + benchmark smoke + tsan) ===="

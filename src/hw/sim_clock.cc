@@ -2,70 +2,72 @@
 #include "hw/sim_clock.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace tock {
 
 uint64_t SimClock::ScheduleAt(uint64_t at, EventFn fn) {
-  uint64_t id = next_id_++;
+  uint32_t slot = free_head_;
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    free_head_ = slots_[slot].next_free;
+  }
+  Slot& s = slots_[slot];
+  ++s.generation;
+  s.fn = std::move(fn);
   uint64_t due = std::max(at, now_);
-  queue_.push(Event{due, next_seq_++, id, std::move(fn)});
-  ++live_events_;
+  heap_.push_back(Entry{due, next_seq_++, slot, s.generation});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
   if (due < next_due_) {
     next_due_ = due;
   }
-  return id;
+  return (static_cast<uint64_t>(s.generation) << 32) | slot;
 }
 
 bool SimClock::Cancel(uint64_t id) {
-  // The priority queue cannot remove an arbitrary element; record the id and drop the
-  // event lazily when it surfaces. live_events_ is decremented now so NextEventAt
-  // consumers don't wait on a dead event's bookkeeping (the stale entry itself is
-  // handled when popped).
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end()) {
-    return false;
+  uint64_t slot = id & 0xFFFFFFFFu;
+  uint32_t generation = static_cast<uint32_t>(id >> 32);
+  if ((generation & 1) == 0 || slot >= slots_.size() || slots_[slot].generation != generation) {
+    return false;  // fired, already cancelled, or never issued
   }
-  cancelled_.push_back(id);
-  if (live_events_ > 0) {
-    --live_events_;
-  }
+  Release(static_cast<uint32_t>(slot));
+  PruneTop();
   return true;
 }
 
-void SimClock::AdvanceSlow(uint64_t target) {
-  while (!queue_.empty() && queue_.top().at <= target) {
-    Event ev = queue_.top();
-    queue_.pop();
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    --live_events_;
-    now_ = ev.at;  // events observe their own deadline as "now"
-    ev.fn();
-  }
-  now_ = target;
-  next_due_ = queue_.empty() ? UINT64_MAX : queue_.top().at;
+void SimClock::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  ++s.generation;
+  s.next_free = free_head_;
+  free_head_ = slot;
 }
 
-uint64_t SimClock::NextEventAt() const {
-  // Skip over lazily-cancelled entries without mutating the queue: copy-scan is
-  // acceptable because cancellations are rare (alarm re-arms dominate).
-  if (queue_.empty()) {
-    return UINT64_MAX;
+void SimClock::PruneTop() {
+  while (!heap_.empty() && !IsLive(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    heap_.pop_back();
   }
-  if (cancelled_.empty()) {
-    return queue_.top().at;
+  next_due_ = heap_.empty() ? UINT64_MAX : heap_.front().at;
+}
+
+void SimClock::AdvanceSlow(uint64_t target) {
+  // The top is always live, so every entry popped here fires.
+  while (!heap_.empty() && heap_.front().at <= target) {
+    Entry top = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    heap_.pop_back();
+    // Move the callback out before running it: it may schedule events, which can
+    // reallocate slots_ or reuse this very slot.
+    EventFn fn = std::move(slots_[top.slot].fn);
+    Release(top.slot);
+    PruneTop();
+    now_ = top.at;  // events observe their own deadline as "now"
+    fn();
   }
-  auto copy = queue_;
-  while (!copy.empty()) {
-    const Event& ev = copy.top();
-    if (std::find(cancelled_.begin(), cancelled_.end(), ev.id) == cancelled_.end()) {
-      return ev.at;
-    }
-    copy.pop();
-  }
-  return UINT64_MAX;
+  now_ = target;
 }
 
 }  // namespace tock

@@ -672,8 +672,7 @@ StoppedReason Kernel::ExecuteProcess(Process& p, uint64_t deadline_cycles,
     if (threaded &&
         (fault_injector_ == nullptr || fault_injector_->armed_cpu_faults() == 0)) {
       // Budget = instructions until the next observable point: the run-deadline
-      // or the earliest scheduled clock event (conservative lower bound — a
-      // lazily-cancelled event only shortens the batch). No event can fire
+      // or the earliest pending clock event. No event can fire
       // strictly inside the batch, so deferring the Tick to the boundary leaves
       // every event firing at the same cycle as per-insn ticking. An overdue
       // event (NextEventAt <= now) degrades to budget 1: it fires after one

@@ -1,8 +1,11 @@
 // Hardware-substrate tests: clock, bus, MPU, and every peripheral model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "crypto/aes128.h"
@@ -88,6 +91,238 @@ TEST(SimClock, PastDeadlinesClampToNow) {
   clock.Advance(1);
   EXPECT_TRUE(fired);
 }
+
+TEST(SimClock, CancelAfterFireIsRejected) {
+  SimClock clock;
+  uint64_t first = clock.ScheduleAt(10, [] {});
+  uint64_t second = clock.ScheduleAt(100, [] {});
+  clock.Advance(20);
+  // "false if it already fired": the fired id must not count against live events.
+  EXPECT_FALSE(clock.Cancel(first));
+  EXPECT_TRUE(clock.HasPendingEvents());
+  EXPECT_EQ(clock.NextEventAt(), 100u);
+  // Double cancel: only the first succeeds.
+  EXPECT_TRUE(clock.Cancel(second));
+  EXPECT_FALSE(clock.Cancel(second));
+  EXPECT_FALSE(clock.HasPendingEvents());
+  EXPECT_EQ(clock.NextEventAt(), UINT64_MAX);
+  // Ids never issued.
+  EXPECT_FALSE(clock.Cancel(0));
+  EXPECT_FALSE(clock.Cancel(UINT64_MAX));
+  // A fresh event reusing the freed storage is not reachable through the old ids.
+  bool fired = false;
+  uint64_t third = clock.ScheduleAt(150, [&] { fired = true; });
+  EXPECT_NE(third, first);
+  EXPECT_NE(third, second);
+  EXPECT_FALSE(clock.Cancel(first));
+  EXPECT_FALSE(clock.Cancel(second));
+  clock.Advance(200);
+  EXPECT_TRUE(fired);
+}
+
+TEST(SimClock, EventCannotCancelItselfWhileFiring) {
+  SimClock clock;
+  uint64_t id = 0;
+  bool self_cancel = true;
+  id = clock.ScheduleAt(5, [&] { self_cancel = clock.Cancel(id); });
+  clock.Advance(10);
+  EXPECT_FALSE(self_cancel);
+  EXPECT_FALSE(clock.HasPendingEvents());
+}
+
+// Property: SimClock matches a naive reference model (an unsorted vector scanned
+// for the earliest (deadline, insertion) pair) under random schedules — past
+// deadlines and same-cycle ties included — cancels of live, fired, cancelled,
+// never-issued and top-of-queue events, advances of 0, 1 and many cycles, and
+// callbacks that schedule or cancel while the clock advances. Fire order, Now(),
+// NextEventAt(), HasPendingEvents() and every Cancel result must agree after
+// every operation.
+class SimClockProperty : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  // What an event does when it fires.
+  struct Action {
+    enum Kind { kNone, kSchedule, kCancel } kind = kNone;
+    uint64_t delay = 0;  // kSchedule: the child's delay from the firing cycle
+    size_t target = 0;   // kSchedule: the child's tag; kCancel: the tag to cancel
+  };
+  struct Fired {
+    size_t tag;
+    uint64_t now;
+    int cancel_result;  // -1 unless the callback cancelled
+    bool operator==(const Fired&) const = default;
+  };
+  struct ModelEvent {
+    uint64_t at;
+    uint64_t seq;
+    size_t tag;
+  };
+
+  uint32_t Next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 17;
+    state_ ^= state_ << 5;
+    return state_;
+  }
+
+  // Allocates a tag with a random on-fire action; children nest at most 3 deep.
+  size_t NewTag(int depth) {
+    size_t tag = actions_.size();
+    actions_.emplace_back();
+    ids_.push_back(0);
+    Action action;
+    uint32_t roll = Next() % 8;
+    if (roll < 2 && depth < 3) {
+      action.kind = Action::kSchedule;
+      action.delay = (Next() % 3 == 0) ? 0 : Next() % 40;
+      action.target = NewTag(depth + 1);
+    } else if (roll < 4) {
+      action.kind = Action::kCancel;
+      action.target = Next() % (tag + 1);  // may name itself, a fired or an unscheduled tag
+    }
+    actions_[tag] = action;
+    return tag;
+  }
+
+  void RealSchedule(size_t tag, uint64_t at) {
+    ids_[tag] = clock_.ScheduleAt(at, [this, tag] { RealFire(tag); });
+    issued_.insert(ids_[tag]);
+  }
+
+  void RealFire(size_t tag) {
+    const Action& action = actions_[tag];
+    int result = -1;
+    if (action.kind == Action::kSchedule) {
+      RealSchedule(action.target, clock_.Now() + action.delay);
+    } else if (action.kind == Action::kCancel) {
+      result = clock_.Cancel(ids_[action.target]) ? 1 : 0;
+    }
+    real_log_.push_back({tag, clock_.Now(), result});
+  }
+
+  void ModelSchedule(size_t tag, uint64_t at) {
+    model_.push_back({std::max(at, model_now_), model_seq_++, tag});
+  }
+
+  bool ModelCancel(size_t tag) {
+    for (size_t i = 0; i < model_.size(); ++i) {
+      if (model_[i].tag == tag) {
+        model_.erase(model_.begin() + static_cast<std::ptrdiff_t>(i));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Index of the earliest (at, seq) model event, or model_.size() when empty.
+  size_t ModelTop() const {
+    size_t best = model_.size();
+    for (size_t i = 0; i < model_.size(); ++i) {
+      if (best == model_.size() || model_[i].at < model_[best].at ||
+          (model_[i].at == model_[best].at && model_[i].seq < model_[best].seq)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  void ModelAdvance(uint64_t cycles) {
+    uint64_t target = model_now_ + cycles;
+    for (size_t top = ModelTop(); top != model_.size() && model_[top].at <= target;
+         top = ModelTop()) {
+      ModelEvent ev = model_[top];
+      model_.erase(model_.begin() + static_cast<std::ptrdiff_t>(top));
+      model_now_ = ev.at;
+      const Action& action = actions_[ev.tag];
+      int result = -1;
+      if (action.kind == Action::kSchedule) {
+        ModelSchedule(action.target, model_now_ + action.delay);
+      } else if (action.kind == Action::kCancel) {
+        result = ModelCancel(action.target) ? 1 : 0;
+      }
+      model_log_.push_back({ev.tag, model_now_, result});
+    }
+    model_now_ = target;
+  }
+
+  void CheckAgreement(int step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << GetParam() << " step " << step);
+    ASSERT_EQ(real_log_, model_log_);
+    ASSERT_EQ(clock_.Now(), model_now_);
+    size_t top = ModelTop();
+    ASSERT_EQ(clock_.NextEventAt(), top == model_.size() ? UINT64_MAX : model_[top].at);
+    ASSERT_EQ(clock_.HasPendingEvents(), !model_.empty());
+  }
+
+  uint32_t state_ = 1;
+  SimClock clock_;
+  std::vector<Action> actions_;  // by tag
+  std::vector<uint64_t> ids_;    // by tag; 0 until scheduled
+  std::unordered_set<uint64_t> issued_;
+  std::vector<Fired> real_log_;
+  std::vector<Fired> model_log_;
+  std::vector<ModelEvent> model_;
+  uint64_t model_now_ = 0;
+  uint64_t model_seq_ = 0;
+};
+
+TEST_P(SimClockProperty, MatchesReferenceModel) {
+  state_ = GetParam() * 2654435761u + 1;
+  for (int step = 0; step < 400; ++step) {
+    uint32_t op = Next() % 10;
+    if (op < 4) {
+      // Deadlines cluster on a few cycles (ties) and reach into the past.
+      size_t tag = NewTag(0);
+      uint64_t now = clock_.Now();
+      bool past = Next() % 4 == 0;
+      uint64_t at = past ? now - std::min<uint64_t>(now, Next() % 50) : now + (Next() % 8) * 5;
+      if (!past && Next() % 2 == 0) {
+        ids_[tag] = clock_.ScheduleAfter(at - now, [this, tag] { RealFire(tag); });
+        issued_.insert(ids_[tag]);
+      } else {
+        RealSchedule(tag, at);
+      }
+      ModelSchedule(tag, at);
+    } else if (op < 7) {
+      size_t tag;
+      uint32_t pick = Next() % 4;
+      size_t top = ModelTop();
+      if (pick == 0 && top != model_.size()) {
+        tag = model_[top].tag;  // the entry at the top of the heap
+      } else if (pick == 1 && !model_.empty()) {
+        tag = model_[Next() % model_.size()].tag;  // some live entry
+      } else if (pick == 2 && !actions_.empty()) {
+        tag = Next() % actions_.size();  // live, fired, cancelled or never scheduled
+      } else {
+        // Never issued: a random id, or one whose generation is one or two past
+        // an issued id's (the slot's free state, or its next occupant's id).
+        uint64_t id = (static_cast<uint64_t>(Next()) << 32) | Next();
+        if (!ids_.empty() && Next() % 2 == 0) {
+          id = ids_[Next() % ids_.size()] + ((uint64_t{1} + Next() % 2) << 32);
+        }
+        if (issued_.count(id) == 0) {
+          ASSERT_FALSE(clock_.Cancel(id)) << "id " << id;
+        }
+        CheckAgreement(step);
+        continue;
+      }
+      bool expected = ModelCancel(tag);
+      ASSERT_EQ(clock_.Cancel(ids_[tag]), expected) << "tag " << tag;
+    } else {
+      uint32_t kind = Next() % 4;
+      uint64_t cycles = kind == 0 ? 0 : kind == 1 ? 1 : kind == 2 ? Next() % 30 : 1000 + Next() % 100000;
+      clock_.Advance(cycles);
+      ModelAdvance(cycles);
+    }
+    CheckAgreement(step);
+  }
+  // Drain: everything still pending fires in model order.
+  clock_.Advance(1'000'000);
+  ModelAdvance(1'000'000);
+  CheckAgreement(-1);
+  EXPECT_FALSE(clock_.HasPendingEvents());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimClockProperty, ::testing::Range(0u, 32u));
 
 // ---- MPU -----------------------------------------------------------------------------
 
