@@ -186,10 +186,6 @@ int main(int argc, char** argv) {
   tock::bench::BenchReporter reporter("tab_telemetry_overhead", &argc, argv);
 
   std::printf("==== Telemetry transport overhead: off vs on vs on+drained ====\n\n");
-  if (!tock::KernelConfig::telemetry_compiled) {
-    std::printf("note: built with -DTOCK_TELEMETRY=OFF — all legs run without a\n"
-                "sink, so the expected overhead is 0%%.\n\n");
-  }
 
   const Leg legs[] = {Leg::kOff, Leg::kOnUndrained, Leg::kOnDrained};
   RunResult results[3];

@@ -1,18 +1,17 @@
 #!/usr/bin/env sh
-# Builds and tests the supported configuration matrix, one preset per CMake
-# feature switch:
-#   default       — TOCK_TRACE=ON, TOCK_TELEMETRY=ON
-#   trace-off     — TOCK_TRACE=OFF (observability compiled out; must impose
-#                   zero cost and zero behavior change when absent)
-#   telemetry-off — TOCK_TELEMETRY=OFF (live shm transport compiled out;
-#                   boards must behave identically without it)
-# The interpreter engine and the board memory backing are runtime choices
-# (KernelConfig::enable_threaded_dispatch, BoardConfig::paged_mem); the suite's
-# parity tests race both sides of each inside one binary. For each preset the
-# script sweeps the scheduler dimension: the full suite under the default
-# round-robin policy, then again under the cooperative policy via the
-# TOCK_SCHED_POLICY override (board/sim_board.cc). The cooperative leg excludes
-# the tests that *require* preemption or round-robin behavior by construction:
+# Builds and tests the supported configuration matrix, one preset per side of
+# the one CMake feature switch:
+#   default   — TOCK_TRACE=ON
+#   trace-off — TOCK_TRACE=OFF (observability compiled out; must impose zero
+#               cost and zero behavior change when absent)
+# The interpreter engine, the board memory backing and live telemetry are
+# runtime choices (KernelConfig::enable_threaded_dispatch, BoardConfig::paged_mem,
+# BoardConfig::telemetry); the suite's parity tests race both sides of each
+# inside one binary. For each preset the script sweeps the scheduler dimension:
+# the full suite under the default round-robin policy, then again under the
+# cooperative policy via the TOCK_SCHED_POLICY override (board/sim_board.cc).
+# The cooperative leg excludes the tests that *require* preemption or
+# round-robin behavior by construction:
 #   - KernelTest.InfiniteLoopCannotStarveNeighbor: the claim under test IS
 #     preemptive isolation; cooperative mode intentionally lacks it (the
 #     matching cooperative starvation test lives in extension_test.cc);
@@ -29,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 COOP_EXCLUDE='KernelTest.InfiniteLoopCannotStarveNeighbor|AsyncLoader\.|LoaderCorruption.BitFlippedSignatureFailsTheAuthenticityStep|FaultPolicy.AppBreakResetsAndPeerGrantsSurviveRestart|Profiler.GoldenChromeTraceTwoApps|^fault_soak$'
 
-for preset in default trace-off telemetry-off; do
+for preset in default trace-off; do
   echo "==== preset: $preset, policy: round-robin (default) ===="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)"
@@ -42,10 +41,10 @@ done
 echo "==== fleet smoke: sharded multi-board run via the CLI driver ===="
 ./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 >/dev/null
 ./build/src/tools/fleet --boards=4 --threads=1 --cycles=200000 --radio=off >/dev/null
-# Scale-out knobs: paged vs eager backing, static sharding, idle-skip off, and
-# the host-RSS report must all run clean through the CLI.
+# Scale-out knobs: paged vs eager backing, idle-skip off, and the host-RSS
+# report must all run clean through the CLI.
 ./build/src/tools/fleet --boards=64 --threads=2 --cycles=200000 --radio=off --report-rss >/dev/null
-./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 --paged=off --steal=off --idle-skip=off >/dev/null
+./build/src/tools/fleet --boards=4 --threads=2 --cycles=200000 --paged=off --idle-skip=off >/dev/null
 
 echo "==== telemetry smoke: fleet publishes to shm, tap attaches post-mortem ===="
 # --telemetry-keep leaves the region behind so the tap can attach after the
@@ -73,4 +72,4 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan -R 'Fleet|RadioHw|RadioFaults|Ota|Telemetry|SpscRing|Superblock|MidRunFlash|Paged' "$@"
 
-echo "==== matrix OK (trace on/off x telemetry on/off, round-robin + cooperative, fleet + OTA + telemetry + benchmark smoke + tsan) ===="
+echo "==== matrix OK (trace on/off, round-robin + cooperative, fleet + OTA + telemetry + benchmark smoke + tsan) ===="

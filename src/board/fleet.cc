@@ -134,29 +134,20 @@ void Fleet::Run(uint64_t cycles) {
     return;
   }
 
-  // Sharded run. Two board→thread assignment modes — work-stealing (default):
-  // every thread claims the next unstepped board with an atomic fetch-add, so a
-  // thread whose boards all idle-skip keeps pulling work instead of idling at
-  // the barrier behind a hot shard; static: board i belongs to thread
-  // i % threads (bench baseline). Either way there are two barriers per epoch:
-  // `gate` publishes the epoch plan (and the reset steal cursor) to the
+  // Sharded run: board i belongs to thread i % threads, the coordinator being
+  // thread 0. Two barriers per epoch: `gate` publishes the epoch end to the
   // workers, `done` hands the quiesced boards back to the coordinator for
   // supervision. The barriers are also the happens-before edges that make the
   // mailbox handoff race-free: every Enqueue in epoch k is ordered before every
-  // PumpInbox in epoch k+1. Which thread steps a board never affects simulated
-  // state — boards are only touched between the barriers by their claiming
-  // thread, and cross-board delivery is ordered by the frame's
-  // (deliver_at, sender, seq) key — so stealing keeps runs bit-identical.
+  // PumpInbox in epoch k+1. Cross-board delivery is ordered by the frame's
+  // (deliver_at, sender, seq) key, never by which thread stepped the receiver,
+  // so the shard count never reaches simulated state.
   uint64_t epoch_end = 0;
   bool stop = false;
-  const bool steal = config_.steal;
   std::barrier gate(static_cast<std::ptrdiff_t>(threads));
   std::barrier done(static_cast<std::ptrdiff_t>(threads));
-
-  auto step_claimed = [&] {
-    size_t i;
-    while ((i = next_board_.fetch_add(1, std::memory_order_relaxed)) <
-           boards_.size()) {
+  auto step_shard = [&](unsigned shard) {
+    for (size_t i = shard; i < boards_.size(); i += threads) {
       StepBoard(i, epoch_end);
     }
   };
@@ -170,13 +161,7 @@ void Fleet::Run(uint64_t cycles) {
         if (stop) {
           return;
         }
-        if (steal) {
-          step_claimed();
-        } else {
-          for (size_t i = w; i < boards_.size(); i += threads) {
-            StepBoard(i, epoch_end);
-          }
-        }
+        step_shard(w);
         done.arrive_and_wait();
       }
     });
@@ -184,18 +169,8 @@ void Fleet::Run(uint64_t cycles) {
 
   for (uint64_t t = start; t < end;) {
     epoch_end = std::min(t + slice, end);
-    // Relaxed is enough: the gate barrier below publishes the reset to the
-    // workers, and the previous done barrier ordered their last claims before
-    // this store.
-    next_board_.store(0, std::memory_order_relaxed);
     gate.arrive_and_wait();
-    if (steal) {
-      step_claimed();
-    } else {
-      for (size_t i = 0; i < boards_.size(); i += threads) {
-        StepBoard(i, epoch_end);
-      }
-    }
+    step_shard(0);
     done.arrive_and_wait();
     // Single-threaded at the barrier: supervision decisions are made on quiesced
     // boards, so they are a pure function of simulated state.

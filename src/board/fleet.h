@@ -3,6 +3,9 @@
 // epoch-bounded slices on a shared timeline — the "10 million computers" half of
 // the paper's title turned into a simulation substrate.
 //
+// Fleet is the one way to step boards together (a lone board runs on its own
+// through SimBoard::Run).
+//
 // Ownership rule (CompartOS-style compartment isolation): every board owns all of
 // its mutable state. A board is only ever touched by the one thread stepping it
 // during an epoch; the sole cross-board channel is the radio mailbox
@@ -19,7 +22,6 @@
 #ifndef TOCK_BOARD_FLEET_H_
 #define TOCK_BOARD_FLEET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -30,27 +32,18 @@
 namespace tock {
 
 struct FleetConfig {
-  // Host threads stepping boards. With `steal` (the default) threads claim
-  // boards from a shared per-epoch queue; otherwise boards are statically
-  // sharded round-robin (board i belongs to thread i % threads). Results are
-  // bit-identical for any value of `threads` and either assignment mode.
+  // Host threads stepping boards. Boards are statically sharded round-robin:
+  // board i is always stepped by thread i % threads. Results are bit-identical
+  // for any value of `threads`.
   unsigned threads = 1;
-  // Work-stealing board assignment. Each epoch every thread claims the next
-  // unstepped board with an atomic fetch-add, so a thread that drew only idle
-  // boards keeps pulling work instead of waiting at the barrier behind a hot
-  // shard. Legal because board state only crosses threads at the epoch
-  // barriers, and cross-board delivery is ordered by the frame's
-  // (deliver_at, sender attach index, seq) key — never by which host thread
-  // stepped the receiver. `false` restores static sharding (bench baseline).
-  bool steal = true;
   // Idle-board fast-forward: a board that is provably quiescent for a whole
   // epoch (no pending IRQ/deferred call/schedulable process, next clock event
   // at or past the epoch end, radio inbox empty) advances its clock without
   // entering the kernel main loop. Bit-identical to stepping — counted in
   // fleet.idle_skips (host-only; excluded from golden stat dumps).
   bool idle_skip = true;
-  // Radio channel to drive in deferred (mailbox) mode. nullptr = the fleet owns
-  // a private medium; World (board/sim_board.h) passes its own.
+  // Radio channel the boards share. nullptr = the fleet owns a private medium;
+  // a caller passes its own to step the same boards from a second Fleet.
   RadioMedium* medium = nullptr;
   // Requested epoch length in cycles. Automatically clamped to the radio medium's
   // lookahead once any radio is attached, so cross-board delivery stays complete
@@ -64,8 +57,8 @@ struct FleetConfig {
   uint64_t wedge_grace_epochs = 2;
   // Seeded per-link fault model installed on the medium when Enabled(). Left
   // alone when all rates are zero, so a Fleet wrapping an externally owned
-  // medium (World does this per Run) never clobbers faults installed directly
-  // via RadioMedium::SetLinkFaults.
+  // medium never clobbers faults installed directly via
+  // RadioMedium::SetLinkFaults.
   LinkFaultConfig link_faults;
 };
 
@@ -104,7 +97,6 @@ class Fleet {
   explicit Fleet(const FleetConfig& config = FleetConfig{})
       : config_(config),
         medium_(config.medium != nullptr ? config.medium : &owned_medium_) {
-    medium_->SetMode(RadioMedium::Mode::kDeferred);
     if (config_.link_faults.Enabled()) {
       medium_->SetLinkFaults(config_.link_faults);
     }
@@ -150,9 +142,6 @@ class Fleet {
   std::vector<SimBoard*> boards_;
   std::vector<BoardHealth> health_;
   std::vector<uint64_t> targets_;  // per-board absolute run targets
-  // Work-stealing epoch queue: reset to 0 by the coordinator before each epoch
-  // gate; every thread (coordinator included) claims boards with fetch_add.
-  std::atomic<size_t> next_board_{0};
 };
 
 }  // namespace tock

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "board/fleet.h"
-
 #include "capsule/driver_nums.h"
 #include "hw/memory_map.h"
 #include "kernel/telemetry.h"
@@ -282,25 +280,6 @@ int SimBoard::Boot() {
     ota_subscriber_.Activate(staging, staging < kAppFlashEnd ? kAppFlashEnd - staging : 0);
   }
   return created;
-}
-
-World::World() {
-  // Deferred mailbox mode even single-threaded: arrival times then come from the
-  // sender's timeline, so delivery traces do not depend on the Run slice or on
-  // the order boards were added.
-  medium_.SetMode(RadioMedium::Mode::kDeferred);
-}
-
-void World::Run(uint64_t cycles, uint64_t slice) {
-  FleetConfig config;
-  config.threads = 1;
-  config.medium = &medium_;
-  config.slice = slice;
-  Fleet fleet(config);
-  for (SimBoard* board : boards_) {
-    fleet.AddBoard(board);
-  }
-  fleet.Run(cycles);
 }
 
 }  // namespace tock

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "capsule/alarm_driver.h"
 #include "capsule/console.h"
@@ -272,27 +271,6 @@ class SimBoard {
   // half-written file. No-op when trace_export_path is empty.
   void FlushTraceArtifact();
   uint64_t next_trace_flush_cycle_ = 0;
-};
-
-// A set of boards stepped in bounded slices against a shared radio medium — the
-// Signpost-style deployment substrate (§2). Thin single-threaded wrapper over the
-// fleet epoch engine (board/fleet.h): the medium runs in deferred (mailbox) mode,
-// so cross-board arrival times are computed on the shared timeline and the result
-// is independent of the `slice` parameter and of board registration order.
-class World {
- public:
-  World();
-
-  RadioMedium& medium() { return medium_; }
-
-  void AddBoard(SimBoard* board) { boards_.push_back(board); }
-
-  // Advances every board to (its own) now + cycles, in lookahead-bounded epochs.
-  void Run(uint64_t cycles, uint64_t slice = 20'000);
-
- private:
-  RadioMedium medium_;
-  std::vector<SimBoard*> boards_;
 };
 
 }  // namespace tock

@@ -139,12 +139,16 @@ void Radio::ArmDelivery() {
   if (at >= armed_at_) {
     return;  // an event at an earlier-or-equal cycle will sweep this frame too
   }
+  // At most one delivery event is outstanding: the later one it supersedes
+  // would otherwise fire, find nothing due, and re-arm a duplicate.
+  clock_->Cancel(armed_event_);
   armed_at_ = at;
-  clock_->ScheduleAt(at, [this] { DeliverPending(); });
+  armed_event_ = clock_->ScheduleAt(at, [this] { DeliverPending(); });
 }
 
 void Radio::DeliverPending() {
   armed_at_ = UINT64_MAX;
+  armed_event_ = 0;
   uint64_t now = clock_->Now();
   size_t consumed = 0;
   while (consumed < pending_.size() && pending_[consumed].deliver_at <= now) {
@@ -275,9 +279,6 @@ void RadioMedium::Transmit(Radio* sender, uint16_t src, uint16_t dst,
       r->Enqueue(std::move(copy));
     }
     r->Enqueue(std::move(frame));
-    if (mode_ == Mode::kImmediate) {
-      r->PumpInbox();
-    }
   }
 }
 

@@ -19,14 +19,6 @@
 #define TOCK_TRACE_ENABLED 1
 #endif
 
-// Compile-time gate for the live telemetry transport (kernel/telemetry.h). When
-// defined to 0 (CMake: -DTOCK_TELEMETRY=OFF) the trace hook carries no sink and
-// the shm publishing layer compiles away, mirroring the TOCK_TRACE idiom.
-// Simulated behavior is identical either way — telemetry is host-side only.
-#ifndef TOCK_TELEMETRY_ENABLED
-#define TOCK_TELEMETRY_ENABLED 1
-#endif
-
 namespace tock {
 
 enum class SyscallAbiVersion {
@@ -162,12 +154,9 @@ struct KernelConfig {
   // runtime so one binary can race them (bench/tab_hotpath_throughput.cc).
   bool enable_threaded_dispatch = true;
 
-  // Whether the live telemetry transport is compiled in (kernel/telemetry.h).
-  // A board still has to attach a sink (BoardConfig::telemetry) for anything to
-  // be published; with the gate off the sink hook itself compiles away.
-  static constexpr bool telemetry_compiled = TOCK_TELEMETRY_ENABLED != 0;
-
-  // Publisher knobs, consumed by the board-attached sink.
+  // Publisher knobs for the live telemetry transport (kernel/telemetry.h),
+  // consumed by the board-attached sink. Nothing is published unless a board
+  // attaches one (BoardConfig::telemetry).
   TelemetryConfig telemetry;
 };
 

@@ -128,9 +128,8 @@ struct Options {
   bool radio = true;
   uint32_t seed = 0xC0FFEE;
   bool restart_wedged = true;
-  // Scale-out knobs (board/fleet.h). All three default on and none changes
+  // Scale-out knobs (board/fleet.h). Both default on and neither changes
   // simulated results — they exist so benchmarks can compare modes.
-  bool steal = true;      // work-stealing board assignment vs static sharding
   bool idle_skip = true;  // idle-board epoch fast-forward
   bool paged = true;  // copy-on-write paged board memory
   // Print host peak RSS and the paged-memory resident footprint after the run.
@@ -185,8 +184,6 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
       opts->radio = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--restart-wedged") {
       opts->restart_wedged = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
-    } else if (key == "--steal") {
-      opts->steal = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--idle-skip") {
       opts->idle_skip = std::strcmp(value, "off") != 0 && std::strcmp(value, "0") != 0;
     } else if (key == "--paged") {
@@ -218,7 +215,7 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
                    "unknown or malformed flag: %s\n"
                    "usage: fleet [--boards=N] [--threads=N] [--cycles=N] [--slice=N]\n"
                    "             [--radio=on|off] [--seed=N] [--restart-wedged=on|off]\n"
-                   "             [--steal=on|off] [--idle-skip=on|off] [--paged=on|off]\n"
+                   "             [--idle-skip=on|off] [--paged=on|off]\n"
                    "             [--report-rss]\n"
                    "             [--ota] [--drop=permille] [--dup=permille]\n"
                    "             [--reorder=permille] [--corrupt=permille] [--fault-seed=N]\n"
@@ -243,7 +240,6 @@ int main(int argc, char** argv) {
   fleet_config.threads = opts.threads;
   fleet_config.slice = opts.slice;
   fleet_config.restart_wedged = opts.restart_wedged;
-  fleet_config.steal = opts.steal;
   fleet_config.idle_skip = opts.idle_skip;
   fleet_config.link_faults.seed = opts.fault_seed;
   fleet_config.link_faults.drop_permille = static_cast<uint32_t>(opts.drop);

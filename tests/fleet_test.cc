@@ -202,7 +202,9 @@ TEST(FleetDeterminism, DeliveryTraceStepOrderInvariant) {
 
   // Same deployment, boards handed to the fleet back-to-front.
   TestFleet shuffled(1);
-  Fleet reordered(FleetConfig{.threads = 1, .medium = &shuffled.fleet->medium()});
+  FleetConfig config;
+  config.medium = &shuffled.fleet->medium();
+  Fleet reordered(config);
   for (size_t i = shuffled.boards.size(); i-- > 0;) {
     reordered.AddBoard(shuffled.boards[i].get());
   }
@@ -231,16 +233,15 @@ loop:
 
 // A deliberately imbalanced deployment: board 0 runs a hot spin loop (busy all
 // epoch, every epoch) while the rest duty-cycle — beacon, then sleep far past
-// the epoch length. Under static sharding the thread that draws board 0 does
-// almost all the work; work-stealing and idle-skip exist for exactly this
-// shape, and neither may change one observable byte.
+// the epoch length. The thread whose shard holds board 0 does almost all the
+// work and idle-skip fast-forwards the rest; neither the sharding nor the skip
+// may change one observable byte.
 struct SkewedFleet {
   static constexpr size_t kBoards = 32;  // 1 hot + 31 duty-cycled
 
-  SkewedFleet(unsigned threads, bool steal, bool idle_skip) {
+  SkewedFleet(unsigned threads, bool idle_skip) {
     FleetConfig config;
     config.threads = threads;
-    config.steal = steal;
     config.idle_skip = idle_skip;
     fleet = std::make_unique<Fleet>(config);
     for (size_t i = 0; i < kBoards; ++i) {
@@ -302,24 +303,19 @@ struct SkewedFleet {
   std::vector<std::unique_ptr<SimBoard>> boards;
 };
 
-// Work-stealing board assignment must be invisible in the results: the skewed
-// fleet stepped by 1 thread, by 4 stealing threads, and by 4 statically-sharded
-// threads produces bit-identical per-board fingerprints (stats, trace rings,
-// delivery logs). This is the tentpole determinism claim for the scale-out
-// scheduler.
+// Static sharding must be invisible in the results even when one shard holds
+// all the work: the skewed fleet stepped by 1 thread and by 4 threads produces
+// bit-identical per-board fingerprints (stats, trace rings, delivery logs).
+// (The name dates from the work-stealing scheduler this test once covered.)
 TEST(FleetDeterminism, WorkStealingSkewedFleetThreadCountInvariant) {
-  SkewedFleet solo(1, /*steal=*/true, /*idle_skip=*/true);
-  SkewedFleet quad(4, /*steal=*/true, /*idle_skip=*/true);
-  SkewedFleet pinned(4, /*steal=*/false, /*idle_skip=*/true);
+  SkewedFleet solo(1, /*idle_skip=*/true);
+  SkewedFleet quad(4, /*idle_skip=*/true);
   solo.fleet->Run(300'000);
   quad.fleet->Run(300'000);
-  pinned.fleet->Run(300'000);
 
   uint64_t total_rx = 0;
   for (size_t i = 0; i < SkewedFleet::kBoards; ++i) {
-    std::string expect = solo.Fingerprint(i);
-    EXPECT_EQ(expect, quad.Fingerprint(i)) << "board " << i << " (stealing)";
-    EXPECT_EQ(expect, pinned.Fingerprint(i)) << "board " << i << " (static)";
+    EXPECT_EQ(solo.Fingerprint(i), quad.Fingerprint(i)) << "board " << i;
     total_rx += solo.boards[i]->radio_hw().packets_received();
   }
   EXPECT_GT(total_rx, 0u);
@@ -330,8 +326,8 @@ TEST(FleetDeterminism, WorkStealingSkewedFleetThreadCountInvariant) {
 // enabled run actually took the shortcut (the host-only fleet.idle_skips
 // counter — excluded from the fingerprint's stat dump — is the only trace).
 TEST(FleetDeterminism, IdleSkipInvariantAndActuallySkips) {
-  SkewedFleet skipping(1, /*steal=*/true, /*idle_skip=*/true);
-  SkewedFleet stepping(1, /*steal=*/true, /*idle_skip=*/false);
+  SkewedFleet skipping(1, /*idle_skip=*/true);
+  SkewedFleet stepping(1, /*idle_skip=*/false);
   skipping.fleet->Run(300'000);
   stepping.fleet->Run(300'000);
 

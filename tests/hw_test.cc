@@ -770,6 +770,9 @@ TEST(FlashCtrl, EraseSetsPageToOnes) {
 
 // ---- Radio + medium ------------------------------------------------------------------------
 
+// The medium only enqueues into the receiver's mailbox; these raw-medium tests
+// stand in for the fleet and pump the receiver after each transmit.
+
 TEST(RadioHw, BroadcastReachesPeerAfterAirTime) {
   Mcu a, b;
   Radio radio_a(&a.clock(), &a.bus(), InterruptLine(&a.irq(), 8));
@@ -796,6 +799,7 @@ TEST(RadioHw, BroadcastReachesPeerAfterAirTime) {
   a.bus().Write(base + RadioRegs::kDstAddr, 0xFFFF, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
 
   EXPECT_EQ(radio_b.packets_received(), 0u);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
@@ -828,6 +832,7 @@ TEST(RadioHw, UnicastIgnoredByWrongAddress) {
   a.bus().Write(base + RadioRegs::kDstAddr, 77, 4, Privilege::kPrivileged);  // not node 2
   a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   a.bus().Write(base + RadioRegs::kTxLen, 3, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   b.Tick(CycleCosts::kRadioCyclesPerByte * 20);
   EXPECT_EQ(radio_b.packets_received(), 0u);
 }
@@ -857,6 +862,7 @@ TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   // its clock tracks the shared timeline.)
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("first"), 5);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   a.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   ASSERT_EQ(radio_b.packets_received(), 1u);
@@ -867,6 +873,7 @@ TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   // old model overwrote the unconsumed frame in place.
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("wrong"), 5);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   a.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   EXPECT_EQ(radio_b.packets_received(), 1u);
@@ -887,6 +894,7 @@ TEST(RadioHw, RxOverrunDropsPacketAndLatchesStatus) {
   EXPECT_FALSE(RadioRegs::Status::kRxOverrun.IsSetIn(status));
   a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("third"), 5);
   a.bus().Write(base + RadioRegs::kTxLen, 5, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   a.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   b.Tick(CycleCosts::kRadioCyclesPerByte * 13 + 10);
   EXPECT_EQ(radio_b.packets_received(), 2u);
@@ -931,7 +939,9 @@ TEST(RadioHw, SameCycleArrivalsDeliverInAttachOrder) {
   // Both clocks sit at cycle 0, so both frames arrive at the same cycle. Fire the
   // later-attached sender FIRST: enqueue order must not leak into delivery order.
   c.bus().Write(base + RadioRegs::kTxLen, 2, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   a.bus().Write(base + RadioRegs::kTxLen, 2, 4, Privilege::kPrivileged);
+  radio_b.PumpInbox();
   b.Tick(CycleCosts::kRadioCyclesPerByte * 10 + 10);
 
   ASSERT_EQ(radio_b.delivery_log().size(), 2u);
@@ -967,14 +977,15 @@ struct FaultBench {
     a.bus().Write(base + RadioRegs::kTxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
   }
 
-  // Transmits `payload` and advances both clocks through its air time plus any
-  // configured fault delays.
+  // Transmits `payload`, pumps it into the receiver, and advances both clocks
+  // through its air time plus any configured fault delays.
   void Send(const std::vector<uint8_t>& payload) {
     uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
     a.bus().WriteBlock(MemoryMap::kRamBase, payload.data(),
                        static_cast<uint32_t>(payload.size()));
     a.bus().Write(base + RadioRegs::kTxLen, static_cast<uint32_t>(payload.size()), 4,
                   Privilege::kPrivileged);
+    radio_b.PumpInbox();
     uint64_t air = CycleCosts::kRadioCyclesPerByte * (payload.size() + 8) + 10 +
                    medium.link_faults().reorder_delay + medium.link_faults().duplicate_delay;
     a.Tick(air);
@@ -1047,6 +1058,7 @@ TEST(RadioFaults, DuplicateDeliversASecondMarkedCopy) {
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
   bench.a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("dup"), 3);
   bench.a.bus().Write(base + RadioRegs::kTxLen, 3, 4, Privilege::kPrivileged);
+  bench.radio_b.PumpInbox();
   // Original arrives after the air time; consume it so the duplicate (one
   // duplicate_delay later) lands in the freed buffer instead of overrunning.
   uint64_t air = CycleCosts::kRadioCyclesPerByte * (3 + 8) + 10;
@@ -1076,6 +1088,7 @@ TEST(RadioFaults, ReorderDelaysArrivalPastLaterTraffic) {
   uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
   bench.a.bus().WriteBlock(MemoryMap::kRamBase, reinterpret_cast<const uint8_t*>("late"), 4);
   bench.a.bus().Write(base + RadioRegs::kTxLen, 4, 4, Privilege::kPrivileged);
+  bench.radio_b.PumpInbox();
   uint64_t air = CycleCosts::kRadioCyclesPerByte * (4 + 8) + 10;
   bench.a.Tick(air);
   bench.b.Tick(air);
