@@ -43,12 +43,14 @@ void Fleet::StepBoard(size_t i, uint64_t epoch_end) {
     return;
   }
   // Idle fast-forward: a board that is provably quiescent until `target` — and
-  // whose radio inbox holds no un-pumped frame (belt and braces: the lookahead
-  // clamp already guarantees in-flight frames deliver at or past epoch_end) —
-  // skips the kernel main loop entirely. TryIdleFastForward replays the one
-  // main-loop pass stepping would have made, byte for byte, so simulated state
-  // is bit-identical either way; only the host-only fleet.idle_skips counter
-  // records that the shortcut was taken.
+  // whose radio inbox holds no un-pumped frame — skips the kernel main loop
+  // entirely. After the pump above, the inbox can only hold frames a peer sent
+  // during this epoch, which arrive at or past epoch_end (the lookahead clamp),
+  // so the inbox check, one atomic load, only keeps the skip proof local to
+  // this board. TryIdleFastForward replays the one main-loop pass stepping
+  // would have made, byte for byte, so simulated state is bit-identical either
+  // way; only the host-only fleet.idle_skips counter records that the shortcut
+  // was taken.
   if (config_.idle_skip && board->radio_hw().InboxEmpty() &&
       board->kernel().TryIdleFastForward(target, board->main_cap())) {
     board->OnEpochBarrier();
@@ -66,6 +68,13 @@ void Fleet::StepBoard(size_t i, uint64_t epoch_end) {
   board->OnEpochBarrier();
 }
 
+// Supervise(i) runs on board i's owning thread right after StepBoard(i), while
+// peers on other threads are still stepping. That is safe because it reads and
+// revives only board i, and a peer can reach board i only through its radio
+// mailbox: an un-pumped frame is not a clock event, so whether board i slept
+// with nothing left to wake it — mcu().wedged() — cannot depend on what peers
+// send it during the same epoch. Those frames are pumped, and can end the
+// wedge, at the next epoch boundary, as when supervision ran after every board.
 void Fleet::Supervise(size_t i) {
   SimBoard* board = boards_[i];
   BoardHealth& health = health_[i];
@@ -120,67 +129,31 @@ void Fleet::Run(uint64_t cycles) {
   threads = static_cast<unsigned>(
       std::min<size_t>(threads, boards_.size()));
 
-  if (threads == 1) {
-    for (uint64_t t = start; t < end;) {
-      uint64_t epoch_end = std::min(t + slice, end);
-      for (size_t i = 0; i < boards_.size(); ++i) {
-        StepBoard(i, epoch_end);
-      }
-      for (size_t i = 0; i < boards_.size(); ++i) {
-        Supervise(i);
-      }
-      t = epoch_end;
-    }
-    return;
-  }
-
-  // Sharded run: board i belongs to thread i % threads, the coordinator being
-  // thread 0. Two barriers per epoch: `gate` publishes the epoch end to the
-  // workers, `done` hands the quiesced boards back to the coordinator for
-  // supervision. The barriers are also the happens-before edges that make the
-  // mailbox handoff race-free: every Enqueue in epoch k is ordered before every
+  // Board i belongs to thread i % threads. Every thread walks the same epoch
+  // sequence: step and supervise its shard, then meet the others at one
+  // barrier. The barrier is the happens-before edge that makes the mailbox
+  // handoff race-free: every Enqueue in epoch k is ordered before every
   // PumpInbox in epoch k+1. Cross-board delivery is ordered by the frame's
   // (deliver_at, sender, seq) key, never by which thread stepped the receiver,
   // so the shard count never reaches simulated state.
-  uint64_t epoch_end = 0;
-  bool stop = false;
-  std::barrier gate(static_cast<std::ptrdiff_t>(threads));
-  std::barrier done(static_cast<std::ptrdiff_t>(threads));
-  auto step_shard = [&](unsigned shard) {
-    for (size_t i = shard; i < boards_.size(); i += threads) {
-      StepBoard(i, epoch_end);
+  std::barrier epoch_done(static_cast<std::ptrdiff_t>(threads));
+  auto run_shard = [&](unsigned shard) {
+    for (uint64_t t = start; t < end;) {
+      const uint64_t epoch_end = std::min(t + slice, end);
+      for (size_t i = shard; i < boards_.size(); i += threads) {
+        StepBoard(i, epoch_end);
+        Supervise(i);
+      }
+      epoch_done.arrive_and_wait();
+      t = epoch_end;
     }
   };
-
   std::vector<std::thread> workers;
   workers.reserve(threads - 1);
   for (unsigned w = 1; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      while (true) {
-        gate.arrive_and_wait();
-        if (stop) {
-          return;
-        }
-        step_shard(w);
-        done.arrive_and_wait();
-      }
-    });
+    workers.emplace_back(run_shard, w);
   }
-
-  for (uint64_t t = start; t < end;) {
-    epoch_end = std::min(t + slice, end);
-    gate.arrive_and_wait();
-    step_shard(0);
-    done.arrive_and_wait();
-    // Single-threaded at the barrier: supervision decisions are made on quiesced
-    // boards, so they are a pure function of simulated state.
-    for (size_t i = 0; i < boards_.size(); ++i) {
-      Supervise(i);
-    }
-    t = epoch_end;
-  }
-  stop = true;
-  gate.arrive_and_wait();
+  run_shard(0);
   for (std::thread& worker : workers) {
     worker.join();
   }

@@ -15,10 +15,14 @@
 // lookahead (minimum on-air latency), every run is bit-identical for any host
 // thread count.
 //
+// Stepping costs one barrier per epoch: each thread steps its shard, then all
+// threads meet before the next epoch starts.
+//
 // Supervision follows the launch/sustain/check-alive pattern of fleet process
-// managers: each epoch barrier the supervisor looks for wedged boards (no
-// runnable process, no future hardware event) and — when configured — revives
-// their dead processes through the capability-gated restart path.
+// managers: after stepping a board each epoch, its owning thread checks whether
+// it has wedged (no runnable process, no future hardware event) and — when
+// configured — revives its dead processes through the capability-gated restart
+// path.
 #ifndef TOCK_BOARD_FLEET_H_
 #define TOCK_BOARD_FLEET_H_
 
@@ -66,7 +70,7 @@ struct FleetConfig {
 struct BoardHealth {
   uint64_t wedge_events = 0;         // epochs this board sat wedged
   uint64_t supervised_restarts = 0;  // processes revived by the supervisor
-  bool wedged = false;               // wedged at the last epoch barrier
+  bool wedged = false;               // wedged at the end of the last epoch
   uint64_t consecutive_wedged = 0;   // internal: grace counter
 };
 
@@ -133,7 +137,7 @@ class Fleet {
   // mailbox, fast-forward if provably idle, otherwise run the kernel;
   // force-advance a wedged clock to keep lockstep.
   void StepBoard(size_t i, uint64_t epoch_end);
-  // Barrier-time supervision for one board (single-threaded).
+  // End-of-epoch supervision for one board, on its owning thread.
   void Supervise(size_t i);
 
   FleetConfig config_;

@@ -15,7 +15,7 @@ uint32_t Radio::MmioRead(uint32_t offset) {
     case RadioRegs::kRxLen:
       return rx_len_;
     case RadioRegs::kNodeAddr:
-      return node_addr_;
+      return node_addr();
     case RadioRegs::kDstAddr:
       return dst_addr_;
     default:
@@ -44,7 +44,7 @@ void Radio::MmioWrite(uint32_t offset, uint32_t value) {
       rx_max_len_ = value;
       return;
     case RadioRegs::kNodeAddr:
-      node_addr_ = value & 0xFFFF;
+      node_addr_.store(static_cast<uint16_t>(value), std::memory_order_relaxed);
       return;
     case RadioRegs::kDstAddr:
       dst_addr_ = value & 0xFFFF;
@@ -66,8 +66,7 @@ void Radio::StartTx(uint32_t len) {
   status_.HwModify(RadioRegs::Status::kTxBusy.Set());
   ++packets_sent_;
 
-  medium_->Transmit(this, static_cast<uint16_t>(node_addr_), static_cast<uint16_t>(dst_addr_),
-                    std::move(payload));
+  medium_->Transmit(this, node_addr(), static_cast<uint16_t>(dst_addr_), std::move(payload));
 
   clock_->ScheduleAfter(CycleCosts::kRadioCyclesPerByte * (len + 8), [this] {
     status_.HwModify(RadioRegs::Status::kTxBusy.Clear());
@@ -76,27 +75,43 @@ void Radio::StartTx(uint32_t len) {
   });
 }
 
-void Radio::Enqueue(RadioFrame frame) {
-  std::lock_guard<std::mutex> lock(inbox_mutex_);
-  // The duplicate copy counts once as a duplication; corruption/reordering of
-  // the original frame are tallied on the original only, so each injected fault
-  // event increments exactly one counter cell.
-  if ((frame.fault_bits & kFaultDuplicated) != 0) {
-    ++fault_counters_.duplicated;
+namespace {
+
+// Adds one frame's kFault* marks to a receiver's tally. The duplicate copy
+// counts once as a duplication; corruption/reordering of the original frame are
+// tallied on the original only, so each injected fault event increments exactly
+// one counter cell.
+void TallyFaults(uint8_t fault_bits, LinkFaultCounters* counters) {
+  if ((fault_bits & kFaultDuplicated) != 0) {
+    ++counters->duplicated;
   } else {
-    if ((frame.fault_bits & kFaultCorrupted) != 0) {
-      ++fault_counters_.corrupted;
+    if ((fault_bits & kFaultCorrupted) != 0) {
+      ++counters->corrupted;
     }
-    if ((frame.fault_bits & kFaultReordered) != 0) {
-      ++fault_counters_.reordered;
+    if ((fault_bits & kFaultReordered) != 0) {
+      ++counters->reordered;
     }
   }
-  inbox_.push_back(std::move(frame));
 }
 
-void Radio::CountDroppedFrame() {
+}  // namespace
+
+void Radio::Enqueue(RadioFrame frame) {
   std::lock_guard<std::mutex> lock(inbox_mutex_);
-  ++fault_counters_.dropped;
+  TallyFaults(frame.fault_bits, &fault_counters_);
+  inbox_.push_back(std::move(frame));
+  inbox_count_.store(inbox_.size(), std::memory_order_release);
+}
+
+void Radio::CountFaults(const LinkFaultCounters& drawn) {
+  if (drawn == LinkFaultCounters{}) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(inbox_mutex_);
+  fault_counters_.dropped += drawn.dropped;
+  fault_counters_.duplicated += drawn.duplicated;
+  fault_counters_.reordered += drawn.reordered;
+  fault_counters_.corrupted += drawn.corrupted;
 }
 
 LinkFaultCounters Radio::fault_counters() {
@@ -115,14 +130,15 @@ bool FrameOrder(const RadioFrame& a, const RadioFrame& b) {
 }  // namespace
 
 void Radio::PumpInbox() {
+  if (InboxEmpty()) {
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
-    if (inbox_.empty()) {
-      return;
-    }
     pending_.insert(pending_.end(), std::make_move_iterator(inbox_.begin()),
                     std::make_move_iterator(inbox_.end()));
     inbox_.clear();
+    inbox_count_.store(0, std::memory_order_relaxed);
   }
   // Re-establish the total (deliver_at, sender, seq) order: frames from several
   // sender threads land in the mailbox in host-race order, but the sort key is a
@@ -166,7 +182,7 @@ void Radio::Deliver(uint16_t src, uint16_t dst, const std::vector<uint8_t>& payl
     return;  // radio off: packet lost, as on air
   }
   if (dst != 0xFFFF && dst != node_addr()) {
-    return;  // not addressed to us
+    return;  // not addressed to us (the medium filters at transmit time too)
   }
   if (rx_addr_ == 0 || rx_max_len_ == 0) {
     return;  // no receive buffer armed: packet lost
@@ -248,29 +264,49 @@ void RadioMedium::Transmit(Radio* sender, uint16_t src, uint16_t dst,
     if (r == sender) {
       continue;
     }
-    RadioFrame frame{deliver_at, sender_idx, seq, src, dst, /*fault_bits=*/0, payload};
+    // Destination filter: decided here, on the sender's thread, so a receiver
+    // the frame does not address is never handed a copy. Its link faults are
+    // still drawn and tallied, exactly as for an addressee.
+    const bool addressed = dst == 0xFFFF || dst == r->node_addr();
+    LinkFaultCounters drawn;
+    uint8_t fault_bits = 0;
+    uint64_t corrupt_draw = 0;
     bool duplicate = false;
     if (faulty) {
       const uint32_t recv_idx = r->attach_index();
       if (FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 0), faults_.drop_permille)) {
-        r->CountDroppedFrame();
+        drawn.dropped = 1;
+        r->CountFaults(drawn);
         continue;
       }
-      uint64_t corrupt_draw = FaultDraw(faults_, sender_idx, recv_idx, seq, 1);
+      corrupt_draw = FaultDraw(faults_, sender_idx, recv_idx, seq, 1);
       if (!payload.empty() && FaultHits(corrupt_draw, faults_.corrupt_permille)) {
-        // Flip one seeded bit in this receiver's private copy of the payload.
-        uint64_t bit = (corrupt_draw / 1000) % (frame.payload.size() * 8);
-        frame.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        frame.fault_bits |= kFaultCorrupted;
+        fault_bits |= kFaultCorrupted;
       }
       if (FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 2), faults_.reorder_permille)) {
-        // Push the arrival back far enough to land behind later transmissions.
-        // Delay only ever increases, so the lookahead bound stays valid.
-        frame.deliver_at += faults_.reorder_delay;
-        frame.fault_bits |= kFaultReordered;
+        fault_bits |= kFaultReordered;
       }
       duplicate =
           FaultHits(FaultDraw(faults_, sender_idx, recv_idx, seq, 3), faults_.duplicate_permille);
+    }
+    if (!addressed) {
+      TallyFaults(fault_bits, &drawn);
+      if (duplicate) {
+        TallyFaults(fault_bits | kFaultDuplicated, &drawn);
+      }
+      r->CountFaults(drawn);
+      continue;
+    }
+    RadioFrame frame{deliver_at, sender_idx, seq, src, dst, fault_bits, payload};
+    if ((fault_bits & kFaultCorrupted) != 0) {
+      // Flip one seeded bit in this receiver's private copy of the payload.
+      uint64_t bit = (corrupt_draw / 1000) % (frame.payload.size() * 8);
+      frame.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    if ((fault_bits & kFaultReordered) != 0) {
+      // Push the arrival back far enough to land behind later transmissions.
+      // Delay only ever increases, so the lookahead bound stays valid.
+      frame.deliver_at += faults_.reorder_delay;
     }
     if (duplicate) {
       RadioFrame copy = frame;

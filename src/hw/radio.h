@@ -1,12 +1,18 @@
 // ERA: 1
 // Packet radio and shared medium — the substrate for the Signpost-style multi-node
-// deployments Tock was designed for (§2). Transmissions broadcast to every other
+// deployments Tock was designed for (§2). Transmissions go out to every other
 // radio attached to the same RadioMedium, arriving after an on-air latency
 // proportional to packet size.
 //
+// Destination filtering happens at transmit time, as in the address filter of a
+// real 802.15.4 transceiver: only an addressee (a broadcast, or a unicast to its
+// node address) receives a frame. Every other receiver still has its link faults
+// drawn and tallied, but gets no copy, mailbox entry, delivery event or wake-up,
+// so a unicast costs one delivery, not one per attached radio.
+//
 // Cross-board delivery is mailbox-based: the sender computes the absolute arrival
 // cycle on the shared timeline (its own clock at transmit time plus the on-air
-// latency) and enqueues the frame into each receiver's inbound mailbox. The thread
+// latency) and enqueues the frame into each addressee's inbound mailbox. The thread
 // that owns the receiving board drains the mailbox at epoch boundaries
 // (board/fleet.h) and the frame is delivered by the receiver's own clock when it
 // reaches the arrival cycle. Nothing ever touches another board's clock, so boards
@@ -15,6 +21,8 @@
 #ifndef TOCK_HW_RADIO_H_
 #define TOCK_HW_RADIO_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -83,7 +91,8 @@ struct LinkFaultConfig {
 };
 
 // Receiver-side tally of injected link faults, guarded by the radio's inbox
-// mutex (fault draws happen on the sender's thread).
+// mutex (fault draws happen on the sender's thread). Faults are drawn and
+// counted on every link, whether or not the receiver is the frame's addressee.
 struct LinkFaultCounters {
   uint64_t dropped = 0;
   uint64_t duplicated = 0;
@@ -137,25 +146,34 @@ class Radio : public MmioDevice {
   void Deliver(uint16_t src, uint16_t dst, const std::vector<uint8_t>& payload,
                uint8_t fault_bits = 0);
 
-  // Medium side: enqueues a frame into the inbound mailbox. The only radio entry
-  // point that may be called from a foreign (sender-board) thread.
+  // Medium side: enqueues a frame into the inbound mailbox and tallies its
+  // kFault* marks. Enqueue, CountFaults and node_addr() are the only radio entry
+  // points that may be called from a foreign (sender-board) thread.
   void Enqueue(RadioFrame frame);
+
+  // Medium side: adds faults drawn on this receiver's link for a frame that is
+  // not enqueued here — dropped, or not addressed to this radio. Takes the inbox
+  // lock only when a counter moves.
+  void CountFaults(const LinkFaultCounters& drawn);
 
   // Owner side: drains the mailbox into the time-sorted pending set and arms the
   // delivery event on this board's own clock. Called by the board's owning thread
-  // at epoch boundaries (board/fleet.cc).
+  // at epoch boundaries (board/fleet.cc). Returns without locking when the
+  // mailbox is empty: the fleet barrier orders every earlier epoch's Enqueue
+  // before this call, and a frame enqueued during the current epoch arrives at
+  // or after its end, so it is still pumped in time at the next boundary.
   void PumpInbox();
 
   // Owner side: true when no frame is waiting in the inbound mailbox. Pumped
   // (pending_) frames do not count — they have delivery events armed on this
   // board's clock, so the kernel's quiescence check already covers them. The
   // fleet's idle-skip path uses this to prove an epoch has no radio work.
-  bool InboxEmpty() {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    return inbox_.empty();
-  }
+  bool InboxEmpty() const { return inbox_count_.load(std::memory_order_acquire) == 0; }
 
-  uint16_t node_addr() const { return static_cast<uint16_t>(node_addr_); }
+  // Read by sender threads at transmit time to filter by destination. Only
+  // ChipRadio::Init writes kNodeAddr (at boot, before any peer transmits), so
+  // relaxed loads see the final address.
+  uint16_t node_addr() const { return node_addr_.load(std::memory_order_relaxed); }
   SimClock* clock() { return clock_; }
 
   void set_medium(RadioMedium* medium, uint32_t attach_index) {
@@ -168,9 +186,6 @@ class Radio : public MmioDevice {
   uint64_t packets_received() const { return packets_received_; }
   uint64_t rx_overruns() const { return rx_overruns_; }
 
-  // Medium side: records a frame the fault layer dropped on this link. May be
-  // called from a foreign (sender-board) thread, like Enqueue.
-  void CountDroppedFrame();
   // Snapshot of the injected-fault tally for this receiver.
   LinkFaultCounters fault_counters();
 
@@ -198,18 +213,20 @@ class Radio : public MmioDevice {
   uint32_t rx_addr_ = 0;
   uint32_t rx_max_len_ = 0;
   uint32_t rx_len_ = 0;
-  uint32_t node_addr_ = 0;
+  std::atomic<uint16_t> node_addr_{0};
   uint32_t dst_addr_ = 0xFFFF;
   uint64_t packets_sent_ = 0;
   uint64_t packets_received_ = 0;
   uint64_t rx_overruns_ = 0;
 
   // Inbound mailbox: written by sender threads under the mutex, drained by the
-  // owning thread. fault_counters_ is also written by sender threads (the fault
-  // draws happen at transmit time) and so lives under the same mutex. Everything
-  // below them is owner-thread-only.
+  // owning thread. inbox_count_ mirrors inbox_.size(), stored under the mutex,
+  // so the owner can see an empty mailbox without locking. fault_counters_ is
+  // also written by sender threads (the fault draws happen at transmit time) and
+  // so lives under the same mutex. Everything below them is owner-thread-only.
   std::mutex inbox_mutex_;
   std::vector<RadioFrame> inbox_;
+  std::atomic<size_t> inbox_count_{0};
   LinkFaultCounters fault_counters_;
   std::vector<RadioFrame> pending_;   // sorted by (deliver_at, sender, seq)
   uint64_t armed_at_ = UINT64_MAX;    // cycle of the one outstanding delivery event
@@ -221,7 +238,7 @@ class Radio : public MmioDevice {
 
 // The shared channel connecting all radios in a simulated deployment. Each radio
 // has its own MCU and clock; a transmission stamps its arrival cycle from the
-// *sender's* clock and lands in each receiver's mailbox. Transmit only enqueues;
+// *sender's* clock and lands in each addressee's mailbox. Transmit only enqueues;
 // the thread that owns each receiving board pumps at epoch boundaries
 // (board/fleet.h). As long as the epoch length is at most Lookahead() — the
 // minimum possible on-air latency — every frame is pumped before its receiver
@@ -248,7 +265,8 @@ class RadioMedium {
   void SetLinkFaults(const LinkFaultConfig& faults) { faults_ = faults; }
   const LinkFaultConfig& link_faults() const { return faults_; }
 
-  // Broadcasts from `sender` to every other attached radio.
+  // Sends from `sender` to every other attached radio that `dst` addresses
+  // (0xFFFF: all of them), drawing link faults for every other radio.
   void Transmit(Radio* sender, uint16_t src, uint16_t dst, std::vector<uint8_t> payload);
 
  private:

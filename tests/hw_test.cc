@@ -1131,6 +1131,71 @@ TEST(RadioFaults, SameSeedReproducesIdenticalFaultPattern) {
   EXPECT_NE(first, other);
 }
 
+// FNV-1a over every field of a delivery log: pins a whole log in one constant.
+uint64_t DeliveryLogDigest(const std::vector<RadioDeliveryRecord>& log) {
+  uint64_t h = 0xCBF29CE484222325ull;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ull;
+    }
+  };
+  for (const RadioDeliveryRecord& r : log) {
+    mix(r.cycle);
+    mix(r.src);
+    mix(r.dst);
+    mix(r.len);
+    mix(r.payload_sum);
+    mix(r.fault_bits);
+    mix(r.overrun ? 1 : 0);
+  }
+  return h;
+}
+
+TEST(RadioFaults, UnaddressedReceiverTalliesFaultsOnly) {
+  // A third radio that a unicast A->B stream does not address gets no frame in
+  // its mailbox and delivers nothing, yet the faults drawn on its link are
+  // tallied exactly as when every receiver was handed a copy. The pinned
+  // counters and B's log digest were recorded with that copy-to-everyone model.
+  FaultBench bench;
+  Mcu c;
+  Radio radio_c{&c.clock(), &c.bus(), InterruptLine(&c.irq(), 8)};
+  c.bus().AttachDevice(MemoryMap::kRadio, &radio_c);
+  bench.medium.Attach(&radio_c);
+  radio_c.EnableDeliveryLog();
+  uint32_t base = MemoryMap::SlotBase(MemoryMap::kRadio);
+  c.bus().Write(base + RadioRegs::kNodeAddr, 3, 4, Privilege::kPrivileged);
+  c.bus().Write(base + RadioRegs::kCtrl, 0x3, 4, Privilege::kPrivileged);
+  c.bus().Write(base + RadioRegs::kRxAddr, MemoryMap::kRamBase, 4, Privilege::kPrivileged);
+  c.bus().Write(base + RadioRegs::kRxMaxLen, 64, 4, Privilege::kPrivileged);
+
+  LinkFaultConfig faults;
+  faults.seed = 0xC0FFEE;
+  faults.drop_permille = 200;
+  faults.duplicate_permille = 200;
+  faults.reorder_permille = 200;
+  faults.corrupt_permille = 200;
+  bench.medium.SetLinkFaults(faults);
+
+  for (int i = 0; i < 40; ++i) {
+    bench.Send({static_cast<uint8_t>(i), 0x5A, static_cast<uint8_t>(i * 7)});
+    EXPECT_TRUE(radio_c.InboxEmpty()) << "frame " << i;
+    radio_c.PumpInbox();
+    c.Tick(CycleCosts::kRadioCyclesPerByte * 11 + 10 + faults.reorder_delay +
+           faults.duplicate_delay);
+    bench.Consume();
+  }
+
+  EXPECT_EQ(radio_c.fault_counters(), (LinkFaultCounters{12, 5, 4, 9}));
+  EXPECT_EQ(radio_c.packets_received(), 0u);
+  EXPECT_EQ(radio_c.rx_overruns(), 0u);
+  EXPECT_TRUE(radio_c.delivery_log().empty());
+  EXPECT_FALSE(c.clock().HasPendingEvents());
+
+  EXPECT_EQ(bench.radio_b.fault_counters(), (LinkFaultCounters{6, 6, 11, 8}));
+  EXPECT_EQ(bench.radio_b.delivery_log().size(), 40u);
+  EXPECT_EQ(DeliveryLogDigest(bench.radio_b.delivery_log()), 0x5BD90116C348E272ull);
+}
+
 // ---- SPI -----------------------------------------------------------------------------
 
 class EchoSlave : public SpiSlaveModel {

@@ -124,6 +124,17 @@ struct OtaFleet {
     return out;
   }
 
+  // FNV-1a over every board's Fingerprint, in board order.
+  uint64_t Digest() {
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (size_t i = 0; i < boards.size(); ++i) {
+      for (char ch : Fingerprint(i)) {
+        h = (h ^ static_cast<uint8_t>(ch)) * 0x100000001B3ull;
+      }
+    }
+    return h;
+  }
+
   std::unique_ptr<Fleet> fleet;
   std::vector<std::unique_ptr<SimBoard>> boards;
   uint32_t staging = 0;
@@ -303,6 +314,10 @@ TEST(OtaDeterminism, ThreadCountInvariant) {
   for (size_t i = 0; i < solo.boards.size(); ++i) {
     EXPECT_EQ(solo.Fingerprint(i), quad.Fingerprint(i)) << "board " << i;
   }
+  // Pinned across radio-model changes: recorded when every receiver was handed
+  // a copy of every frame and dropped the unaddressed ones at delivery.
+  EXPECT_EQ(solo.Digest(), 0x16427E5756CFFA90ull);
+  EXPECT_EQ(quad.Digest(), 0x16427E5756CFFA90ull);
   EXPECT_EQ(solo.gateway().stats().frames_sent, quad.gateway().stats().frames_sent);
   EXPECT_EQ(solo.gateway().stats().retransmits, quad.gateway().stats().retransmits);
   EXPECT_EQ(solo.gateway().stats().converged, quad.gateway().stats().converged);
