@@ -182,11 +182,7 @@ int main(int argc, char** argv) {
     insn_per_sec[i] = static_cast<double>(results[i].instructions) /
                       (results[i].wall_ns * 1e-9);
   }
-  // Each syscall-app iteration is two traps; every trap crosses dispatch
-  // (LookupDriver + upcall-queue handling), so wall time per syscall is the
-  // end-to-end dispatch figure the driver-map work targets.
   const RunResult& best = results[kNumLegs - 1];
-  double ns_per_syscall = best.wall_ns / static_cast<double>(best.syscalls);
 
   std::printf("  %-22s %14s %10s %12s %12s\n", "engine", "sim Minsn/s", "wall ms",
               "blocks", "chain hits");
@@ -206,14 +202,12 @@ int main(int argc, char** argv) {
   double speedup_sb = insn_per_sec[1] / insn_per_sec[0];
   std::printf("\n  speedup threaded+sb vs decode-cache:     %.2fx  (gate: >= 2x)\n",
               speedup_sb);
-  std::printf("  ns per syscall dispatch:                 %.1f\n", ns_per_syscall);
 
   // Key names predate the two-leg bench; kept so longitudinal BENCH_results.json
   // comparisons still line up (cache_on == the decode-cache Step leg).
   reporter.Record("sim_insn_per_sec/cache_on", insn_per_sec[0], "insn/s");
   reporter.Record("sim_insn_per_sec/threaded_superblocks", insn_per_sec[1], "insn/s");
   reporter.Record("speedup_superblocks_vs_cache", speedup_sb, "x");
-  reporter.Record("ns_per_syscall_dispatch", ns_per_syscall, "ns");
   reporter.Record("decode_cache_fills", static_cast<double>(best.cache_fills), "fills");
   reporter.Record("vm_blocks_built", static_cast<double>(best.blocks_built), "blocks");
   reporter.Record("vm_block_chain_hits", static_cast<double>(best.chain_hits), "hits");

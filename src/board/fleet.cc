@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <barrier>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 namespace tock {
@@ -34,8 +36,13 @@ uint64_t Fleet::EffectiveSlice() const {
   return slice;
 }
 
-void Fleet::StepBoard(size_t i, uint64_t epoch_end) {
+void Fleet::StepBoard(size_t i, uint64_t epoch_start, uint64_t epoch_end, Doze& doze) {
   SimBoard* board = boards_[i];
+  if (doze.wake != 0) {
+    // Woken by its own event or by a frame: catch up on the idle passes it
+    // deferred, so the clock sits on epoch_start as if it had been stepped.
+    Wake(i, epoch_start, doze);
+  }
   // Drain frames peers sent during earlier epochs onto this board's own clock.
   board->radio_hw().PumpInbox();
   uint64_t target = std::min(epoch_end, targets_[i]);
@@ -47,25 +54,60 @@ void Fleet::StepBoard(size_t i, uint64_t epoch_end) {
   // entirely. After the pump above, the inbox can only hold frames a peer sent
   // during this epoch, which arrive at or past epoch_end (the lookahead clamp),
   // so the inbox check, one atomic load, only keeps the skip proof local to
-  // this board. TryIdleFastForward replays the one main-loop pass stepping
-  // would have made, byte for byte, so simulated state is bit-identical either
-  // way; only the host-only fleet.idle_skips counter records that the shortcut
-  // was taken.
+  // this board. The kernel replays the main-loop passes stepping would have
+  // made, byte for byte, so simulated state is bit-identical either way; only
+  // the host-only fleet.idle_skips counter records that the shortcut was taken.
   if (config_.idle_skip && board->radio_hw().InboxEmpty() &&
-      board->kernel().TryIdleFastForward(target, board->main_cap())) {
-    board->OnEpochBarrier();
-    return;
-  }
-  board->kernel().MainLoop(target, board->main_cap());
-  // A wedged (or panicked) board stalls short of the target; peers may still
-  // address radio frames to it, so force the clock forward to preserve lockstep.
-  if (board->mcu().CyclesNow() < target) {
-    board->mcu().clock().Advance(target - board->mcu().CyclesNow());
+      board->kernel().IsQuiescedUntil(target)) {
+    const uint64_t wake = board->mcu().clock().NextEventAt();
+    if (wake > target) {
+      // Doze: defer this pass and every later idle one until the board's event
+      // falls due, a frame lands in its mailbox, or Run() ends. Nothing fires
+      // in a deferred pass, so deferring changes no simulated state; each pass
+      // would clear the wedged flag (the board has a future event), so clear
+      // it now for Supervise.
+      doze = Doze{wake, target};
+      board->mcu().ClearWedged();
+      return;
+    }
+    // The event falls due on the grid point itself: run this one pass now, so
+    // a deferred pass never fires an event.
+    board->kernel().TryIdleFastForward(target, board->main_cap());
+  } else {
+    board->kernel().MainLoop(target, board->main_cap());
+    // A wedged (or panicked) board stalls short of the target; peers may still
+    // address radio frames to it, so force the clock forward to preserve
+    // lockstep.
+    if (board->mcu().CyclesNow() < target) {
+      board->mcu().clock().Advance(target - board->mcu().CyclesNow());
+    }
   }
   // Host-side observability only (telemetry snapshot, trace-artifact flush):
   // runs on the board's owning thread while the board is quiesced, and never
   // touches simulated state — fleet fingerprints are invariant to it.
   board->OnEpochBarrier();
+}
+
+void Fleet::Wake(size_t i, uint64_t until, Doze& doze) {
+  SimBoard* board = boards_[i];
+  // The board dozed only while its next event lay past every deferred pass end
+  // and its mailbox stayed empty, so the quiescence it was proven to have when
+  // it started dozing still holds; the replay proves it once more.
+  // SimBoard itself stays free of virtual functions: a vtable pointer would
+  // shift every member of every board, and with them the data layout of the
+  // kernel's hot paths.
+  struct Hook final : EpochBarrierObserver {
+    explicit Hook(SimBoard* b) : board(b) {}
+    void OnEpochBarrier() override { board->OnEpochBarrier(); }
+    SimBoard* board;
+  } hook(board);
+  const bool replayed = board->kernel().ReplayIdlePasses(
+      doze.first_end, slice_, std::min(until, targets_[i]), board->main_cap(), &hook);
+  if (!replayed) {
+    std::fprintf(stderr, "fleet: board %zu lost quiescence while dozing\n", i);
+    std::abort();
+  }
+  doze.wake = 0;
 }
 
 // Supervise(i) runs on board i's owning thread right after StepBoard(i), while
@@ -136,16 +178,33 @@ void Fleet::Run(uint64_t cycles) {
   // PumpInbox in epoch k+1. Cross-board delivery is ordered by the frame's
   // (deliver_at, sender, seq) key, never by which thread stepped the receiver,
   // so the shard count never reaches simulated state.
+  //
+  // A dozing board costs its thread one check per epoch: its next event still
+  // lies past this epoch's end and its mailbox is empty. Supervision is skipped
+  // with the step, which is exact: a dozing board has a future event, so it
+  // is not wedged, and Supervise would only reset its already-reset ledger.
+  // Its doze record lives with the shard, so no other thread writes near it.
+  slice_ = slice;
   std::barrier epoch_done(static_cast<std::ptrdiff_t>(threads));
   auto run_shard = [&](unsigned shard) {
+    std::vector<Doze> dozes((boards_.size() - shard + threads - 1) / threads);
     for (uint64_t t = start; t < end;) {
       const uint64_t epoch_end = std::min(t + slice, end);
-      for (size_t i = shard; i < boards_.size(); i += threads) {
-        StepBoard(i, epoch_end);
+      for (size_t i = shard, k = 0; i < boards_.size(); i += threads, ++k) {
+        if (std::min(epoch_end, targets_[i]) < dozes[k].wake &&
+            boards_[i]->radio_hw().InboxEmpty()) {
+          continue;
+        }
+        StepBoard(i, t, epoch_end, dozes[k]);
         Supervise(i);
       }
       epoch_done.arrive_and_wait();
       t = epoch_end;
+    }
+    for (size_t i = shard, k = 0; i < boards_.size(); i += threads, ++k) {
+      if (dozes[k].wake != 0) {
+        Wake(i, end, dozes[k]);
+      }
     }
   };
   std::vector<std::thread> workers;

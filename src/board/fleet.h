@@ -18,6 +18,15 @@
 // Stepping costs one barrier per epoch: each thread steps its shard, then all
 // threads meet before the next epoch starts.
 //
+// Dozing boards: most of a fleet sleeps most of the time, because a Tock kernel
+// sleeps whenever idle (§2.5). A board found provably idle past its epoch does
+// not replay that idle pass yet. It dozes: its owning thread only checks, once
+// per epoch, that the board's next clock event still lies past the epoch end
+// and that its radio mailbox is empty. When its event falls due, a frame lands
+// in its mailbox, or Run() ends, one kernel call (Kernel::ReplayIdlePasses)
+// replays every deferred grid pass in one batch. The epoch grid is unchanged,
+// so every board still sees each grid point it sleeps across.
+//
 // Supervision follows the launch/sustain/check-alive pattern of fleet process
 // managers: after stepping a board each epoch, its owning thread checks whether
 // it has wedged (no runnable process, no future hardware event) and — when
@@ -43,8 +52,9 @@ struct FleetConfig {
   // Idle-board fast-forward: a board that is provably quiescent for a whole
   // epoch (no pending IRQ/deferred call/schedulable process, next clock event
   // at or past the epoch end, radio inbox empty) advances its clock without
-  // entering the kernel main loop. Bit-identical to stepping — counted in
-  // fleet.idle_skips (host-only; excluded from golden stat dumps).
+  // entering the kernel main loop, and dozes through later idle epochs until
+  // its next event or radio frame (see above). Bit-identical to stepping —
+  // counted in fleet.idle_skips (host-only; excluded from golden stat dumps).
   bool idle_skip = true;
   // Radio channel the boards share. nullptr = the fleet owns a private medium;
   // a caller passes its own to step the same boards from a second Fleet.
@@ -133,10 +143,21 @@ class Fleet {
   FleetStats Stats() const;
 
  private:
-  // Steps one board through [its now, min(epoch_end, its target)): pump radio
-  // mailbox, fast-forward if provably idle, otherwise run the kernel;
-  // force-advance a wedged clock to keep lockstep.
-  void StepBoard(size_t i, uint64_t epoch_end);
+  // A dozing board's deferred idle passes: the first ends at `first_end`, the
+  // rest on the following grid points. `wake` is the board's next clock event;
+  // 0 means the board is not dozing.
+  struct Doze {
+    uint64_t wake = 0;
+    uint64_t first_end = 0;
+  };
+
+  // Steps one board through [its now, min(epoch_end, its target)): replay the
+  // passes it deferred while dozing, pump radio mailbox, doze if provably idle,
+  // otherwise run the kernel; force-advance a wedged clock to keep lockstep.
+  void StepBoard(size_t i, uint64_t epoch_start, uint64_t epoch_end, Doze& doze);
+  // Replays a dozing board's deferred passes up to `until` (clamped to its
+  // target) and ends the doze.
+  void Wake(size_t i, uint64_t until, Doze& doze);
   // End-of-epoch supervision for one board, on its owning thread.
   void Supervise(size_t i);
 
@@ -146,6 +167,7 @@ class Fleet {
   std::vector<SimBoard*> boards_;
   std::vector<BoardHealth> health_;
   std::vector<uint64_t> targets_;  // per-board absolute run targets
+  uint64_t slice_ = 0;             // epoch length of the current Run()
 };
 
 }  // namespace tock

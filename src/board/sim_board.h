@@ -149,9 +149,10 @@ class SimBoard {
   // golden-trace path).
   void Run(uint64_t cycles);
 
-  // Fleet hook, called by Fleet::StepBoard after each epoch slice: publishes a
-  // telemetry snapshot (period-gated) and flushes the trace artifact when due.
-  // Host-side work only — never touches simulated state.
+  // Fleet hook, called after each epoch slice — by Fleet::StepBoard, or by the
+  // kernel's batched idle replay for the passes a dozing board deferred:
+  // publishes a telemetry snapshot (period-gated) and flushes the trace
+  // artifact when due. Host-side work only — never touches simulated state.
   void OnEpochBarrier();
 
   BoardTelemetry* telemetry() { return config_.telemetry; }

@@ -131,6 +131,16 @@ class CycleAccounting {
     }
   }
 
+  // Closes the open span at `now` and keeps attributing to the same bucket. A
+  // batched idle replay (Kernel::ReplayIdlePasses) holds one kIdle scope open
+  // across its passes and cuts it at every grid point, which records the same
+  // kIdle span per pass as leaving and re-entering the bucket there would.
+  void Cut(uint64_t now) {
+    if constexpr (kEnabled) {
+      Flush(now);
+    }
+  }
+
   // The open attribution target. The kernel's RAII scope helper (kernel.cc) reads
   // these to restore the suspended bucket when a nested scope exits.
   CycleBucket current_bucket() const { return bucket_; }

@@ -1,6 +1,7 @@
 // ERA: 2
 #include "kernel/kernel.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "hw/costs.h"
@@ -1101,29 +1102,44 @@ bool Kernel::IsQuiescedUntil(uint64_t deadline_cycles) {
   return next >= deadline_cycles && next != UINT64_MAX;
 }
 
-bool Kernel::TryIdleFastForward(uint64_t deadline_cycles, const MainLoopCapability& cap) {
+bool Kernel::ReplayIdlePasses(uint64_t first_end, uint64_t stride, uint64_t last_end,
+                              const MainLoopCapability& cap, EpochBarrierObserver* observer) {
   (void)cap;
-  if (!IsQuiescedUntil(deadline_cycles)) {
+  if (first_end > last_end || (first_end < last_end && stride == 0) ||
+      mcu_->CyclesNow() >= first_end || !IsQuiescedUntil(last_end)) {
     return false;
   }
-  // Replicate the one idle pass a stepped MainLoop would have made, byte for
-  // byte: anchor the attribution window, give the policy its time observation
-  // (the MLFQ boost clock advances in Next() even with nothing schedulable),
-  // then sleep to the deadline under the idle bucket and record it. The
-  // interrupt/deferred scopes of a real pass are provably invisible here — no
-  // work means zero-delta scopes, which flush nothing.
-  const uint64_t now = mcu_->CyclesNow();
+  // Replicate the idle passes stepped MainLoop calls would have made, byte for
+  // byte. Nothing between the passes can change what the proof above covered:
+  // no event falls due before last_end, so no IRQ, deferred call or
+  // schedulable process appears, and the bus stays as resident as it is now.
+  // So one proof, one attribution anchor and one resident-memory sync serve
+  // every pass. The interrupt/deferred scopes of a real pass are invisible too —
+  // no work means zero-delta scopes, which flush nothing. What each pass does
+  // make visible is kept, in order: the policy's time observation (the MLFQ
+  // boost clock advances in Next() even with nothing schedulable), the sleep
+  // to the pass end as its own kIdle span, the sleep record, and the observer
+  // with the clock on the pass end. The kIdle scope stays open across passes;
+  // cutting it at each pass end records the span a close-and-reopen would, and
+  // leaves the open span empty whenever the observer looks.
+  uint64_t now = mcu_->CyclesNow();
   trace_.accounting().Begin(now);
   trace_.SetMemResident(mcu_->bus().resident_bytes());
-  scheduler_->ObserveIdle(now);
-  uint64_t slept;
-  {
-    AcctScope idle_scope(trace_, *mcu_, CycleBucket::kIdle);
-    slept = mcu_->SleepUntilInterrupt(deadline_cycles);
+  AcctScope idle_scope(trace_, *mcu_, CycleBucket::kIdle);
+  for (uint64_t end = first_end;; end = std::min(end + stride, last_end)) {
+    scheduler_->ObserveIdle(now);
+    const uint64_t slept = mcu_->SleepUntilInterrupt(end);
+    trace_.accounting().Cut(end);
+    trace_.RecordSleep(end, slept);
+    trace_.RecordIdleSkip();
+    if (observer != nullptr) {
+      observer->OnEpochBarrier();
+    }
+    if (end == last_end) {
+      return true;
+    }
+    now = end;
   }
-  trace_.RecordSleep(mcu_->CyclesNow(), slept);
-  trace_.RecordIdleSkip();
-  return true;
 }
 
 }  // namespace tock

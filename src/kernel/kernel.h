@@ -32,6 +32,16 @@ namespace tock {
 
 class FaultInjector;
 
+// Told about each fleet epoch grid point a batched idle replay
+// (Kernel::ReplayIdlePasses) crosses, with the clock on that point: exactly
+// where a stepped fleet would have run its per-epoch board hook
+// (SimBoard::OnEpochBarrier, wrapped in board/fleet.cc).
+class EpochBarrierObserver {
+ public:
+  virtual ~EpochBarrierObserver() = default;
+  virtual void OnEpochBarrier() = 0;
+};
+
 // Parameters the loader supplies when creating a process.
 struct ProcessCreateInfo {
   std::string name;
@@ -107,16 +117,30 @@ class Kernel : public FlashWriteObserver {
   // One scheduling pass; returns false when the system is wedged. `deadline_cycles`
   // bounds how far an idle sleep may fast-forward the clock (multi-board lockstep).
   bool MainLoopStep(const MainLoopCapability& cap, uint64_t deadline_cycles = UINT64_MAX);
-  // Fleet idle-skip fast path: if the kernel is provably quiescent until
-  // `deadline_cycles` (nothing schedulable, no pending IRQs or deferred calls, and
-  // the next hardware event is at or past the deadline), advance the clock to the
-  // deadline without entering the main-loop machinery and return true. The pass is
-  // bit-identical to what one stepped MainLoop pass would have produced — same
-  // sleep trace event, same cycle accounting, same scheduler bookkeeping
-  // (Scheduler::ObserveIdle) — so fleets may apply it per epoch freely. Returns
-  // false (doing nothing) when the board has, or might have, work; wedged boards
-  // (no future event at all) also return false so supervision still sees them.
-  bool TryIdleFastForward(uint64_t deadline_cycles, const MainLoopCapability& cap);
+  // Fleet idle-skip fast path, batched: replays the idle passes a fleet stepping
+  // this board along its epoch grid would have made, ending at first_end,
+  // first_end + stride, ... (each clamped to last_end), and last at last_end. It
+  // proves once that the kernel is quiescent until last_end (nothing
+  // schedulable, no pending IRQ or deferred call, next hardware event at or past
+  // last_end), then keeps per pass only what a stepped pass makes visible, in
+  // order: Scheduler::ObserveIdle at the pass start, the kIdle span, the sleep
+  // counters and kSleep event, then `observer` (if any) with the clock at the
+  // pass end. Bit-identical to stepping those passes, so fleets may defer idle
+  // passes and replay them later (board/fleet.cc). Returns false (doing
+  // nothing) when the board has, or might have, work before last_end; a board
+  // with no future event at all also returns false, so fleet supervision still
+  // sees it wedge.
+  bool ReplayIdlePasses(uint64_t first_end, uint64_t stride, uint64_t last_end,
+                        const MainLoopCapability& cap, EpochBarrierObserver* observer);
+  // The one-pass case: the idle pass to `deadline_cycles` that one stepped
+  // MainLoop pass would have made. The caller runs its own epoch hook.
+  bool TryIdleFastForward(uint64_t deadline_cycles, const MainLoopCapability& cap) {
+    return ReplayIdlePasses(deadline_cycles, 0, deadline_cycles, cap, nullptr);
+  }
+  // The idle-skip precondition: true iff a main-loop pass started now would
+  // provably do nothing but sleep to `deadline_cycles`, and a later event still
+  // waits (a board with no future event would wedge, not sleep).
+  bool IsQuiescedUntil(uint64_t deadline_cycles);
 
   // ---- Capsule services (safe API surface, §2.2) ----------------------------------
   // Schedules an upcall for (driver, sub). Returns kInvalid for a dead process; a
@@ -319,9 +343,6 @@ class Kernel : public FlashWriteObserver {
   uint64_t BackoffDelay(const Process& p) const;
   void ServiceInterrupts();
   bool RunDeferredCalls();
-  // The idle-skip precondition: true iff a main-loop pass started now would
-  // provably do nothing but sleep to `deadline_cycles`.
-  bool IsQuiescedUntil(uint64_t deadline_cycles);
 
   Mcu* mcu_;
   SysTick* systick_;

@@ -30,7 +30,7 @@ void PackName(const std::string& name, std::atomic<uint64_t>* words) {
                      << (8 * (c % 8));
   }
   for (size_t w = 0; w < kTelemetryProcNameWords; ++w) {
-    words[w].store(packed[w], std::memory_order_relaxed);
+    words[w].store(packed[w], std::memory_order_release);
   }
 }
 
@@ -89,10 +89,12 @@ void BoardTelemetry::PublishSnapshot(uint64_t cycle) {
   if (!bound()) {
     return;
   }
-  // Seqlock write: odd while the payload is inconsistent.
+  // Seqlock write: odd while the payload is inconsistent. Every payload word
+  // is a release store (WriteSnapshotPayload), so a reader that acquires any
+  // word of this write also sees the odd sequence — the ordering a standalone
+  // fence would give, in a form ThreadSanitizer models.
   const uint64_t seq = snap_[0].load(std::memory_order_relaxed);
   snap_[0].store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   WriteSnapshotPayload(cycle);
   snap_[0].store(seq + 2, std::memory_order_release);
   if (snapshot_period_ != 0) {
@@ -101,13 +103,13 @@ void BoardTelemetry::PublishSnapshot(uint64_t cycle) {
 }
 
 void BoardTelemetry::WriteSnapshotPayload(uint64_t cycle) {
-  snap_[kSnapCycleWord].store(cycle, std::memory_order_relaxed);
+  snap_[kSnapCycleWord].store(cycle, std::memory_order_release);
   for (size_t i = 0; i < kTelemetryStatWords; ++i) {
     const uint64_t value =
         kernel_ != nullptr
             ? StatValue(kernel_->stats(), static_cast<StatId>(i))
             : 0;
-    snap_[kSnapStatsWord + i].store(value, std::memory_order_relaxed);
+    snap_[kSnapStatsWord + i].store(value, std::memory_order_release);
   }
   for (size_t row = 0; row < kTelemetryProcRows; ++row) {
     const Process* p = kernel_ != nullptr ? kernel_->process(row) : nullptr;
@@ -121,7 +123,7 @@ void BoardTelemetry::WriteSnapshotPayload(uint64_t cycle) {
         snap_ + kSnapProcsWord + row * kTelemetryProcStatWords;
     for (size_t f = 0; f < kTelemetryProcStatWords; ++f) {
       out[f].store(ProcStatValue(ps, static_cast<ProcStatField>(f)),
-                   std::memory_order_relaxed);
+                   std::memory_order_release);
     }
   }
 }
@@ -260,10 +262,11 @@ bool TelemetryTap::ReadSnapshot(size_t i, TelemetrySnapshot* out) const {
     if ((s1 & 1) != 0) {
       continue;  // write in progress
     }
+    // Acquire loads pair with the writer's release stores: a word from a
+    // newer write makes its odd sequence visible to the check below.
     for (size_t w = 1; w < TelemetryLayout::SnapshotWords(); ++w) {
-      payload[w] = snap[w].load(std::memory_order_relaxed);
+      payload[w] = snap[w].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (snap[0].load(std::memory_order_relaxed) != s1) {
       continue;  // torn: overwritten while copying
     }

@@ -1,23 +1,30 @@
 // Fleet runtime tests (board/fleet.h): the sharded epoch engine must produce
 // bit-identical per-board results for any host thread count, the mailbox radio
 // must produce identical delivery traces for any stepping slice and board step
-// order, and the supervisor must revive wedged boards.
+// order, dozing boards must match a plain per-pass stepper, and the supervisor
+// must revive wedged boards.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "board/fleet.h"
 #include "board/sim_board.h"
+#include "kernel/telemetry.h"
 
 namespace tock {
 namespace {
 
-// Telemetry beacon: broadcast [node, seq] on a duty cycle, staggered per node.
-std::string BeaconApp(int node_id) {
+// Telemetry beacon: send [node, seq] to `dst` (broadcast by default) on a duty
+// cycle, staggered per node.
+std::string BeaconApp(int node_id, int dst = 0xFFFF) {
   char buf[1024];
   std::snprintf(buf, sizeof(buf), R"(
 _start:
@@ -35,10 +42,10 @@ loop:
     li a3, 2
     li a4, 4
     ecall
-    # command(radio, 1 = tx, dst=broadcast, len=2)
+    # command(radio, 1 = tx, dst, len=2)
     li a0, 0x30001
     li a1, 1
-    li a2, 0xFFFF
+    li a2, %d
     li a3, 2
     li a4, 2
     ecall
@@ -53,7 +60,7 @@ loop:
     call sleep_ticks
     j loop
 )",
-                node_id * 7000, node_id);
+                node_id * 7000, node_id, dst);
   return buf;
 }
 
@@ -337,6 +344,415 @@ TEST(FleetDeterminism, IdleSkipInvariantAndActuallySkips) {
   if (KernelConfig::trace_enabled) {
     EXPECT_GT(skipping.fleet->Stats().aggregate.fleet_idle_skips, 0u);
     EXPECT_EQ(stepping.fleet->Stats().aggregate.fleet_idle_skips, 0u);
+  }
+}
+
+// ---- Dozing boards -----------------------------------------------------------
+//
+// Fleet::Run lets a provably idle board doze and replays its deferred idle
+// passes in one batch (Kernel::ReplayIdlePasses). The oracle here is a plain
+// stepper that drives every board through the public per-pass calls on the same
+// epoch grid, one pass per board per epoch, as tockbench's TracedFleetRun does.
+// Fleet::Run must match it byte for byte at any thread count, with idle skipping
+// on or off.
+
+// Sleeps in long stretches, so its board dozes for many epochs at a time.
+const char* kSleeperApp = R"(
+_start:
+loop:
+    li a0, 150000
+    call sleep_ticks
+    j loop
+)";
+
+// Computes past its timeslice (MLFQ demotes it), then sleeps across several
+// boost periods, so boosts fall inside the idle passes its board defers.
+const char* kBurstApp = R"(
+_start:
+    li s0, 0
+loop:
+    li t1, 3000
+spin:
+    addi s0, s0, 1
+    addi t1, t1, -1
+    bnez t1, spin
+    li a0, 90000
+    call sleep_ticks
+    j loop
+)";
+
+// Removes its files when destroyed; declared before the fleets that write them.
+// Prefers tmpfs: a trace-export flush renames over its previous artifact, which
+// a disk-backed /tmp may flush to the device each time.
+struct TempFiles {
+  ~TempFiles() {
+    for (const std::string& path : paths) {
+      std::remove(path.c_str());
+      std::remove((path + ".tmp").c_str());
+    }
+  }
+  std::string Add(const std::string& tag) {
+    const char* dir = access("/dev/shm", W_OK) == 0 ? "/dev/shm" : "/tmp";
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s/tock_fleet_doze_%s_%d", dir, tag.c_str(),
+                  static_cast<int>(getpid()));
+    paths.emplace_back(buf);
+    return paths.back();
+  }
+  std::vector<std::string> paths;
+};
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+struct DozeOptions {
+  bool align_clocks = true;  // false: every board starts on its own cycle
+  bool observers = false;    // telemetry sink and trace-export flushing
+};
+
+// Six boards that exercise every way a doze ends:
+//   0  beacon, unicast to board 2 (frames addressed to a dozing board)
+//   1  beacon, unicast to board 5
+//   2  listener + long sleeper: dozes until a frame lands in its mailbox
+//   3  MLFQ burst app with a short boost period (boosts inside deferred passes)
+//   4  long sleeper whose clock carries events exactly on epoch grid points,
+//      each feeding the process console a command
+//   5  listener only: no future event, so it wedges every epoch and never dozes
+// No board broadcasts: board 4's console prints the host-only skip count, which
+// a frame racing into its mailbox at more than one thread could move.
+struct DozeFleet {
+  static constexpr size_t kBoards = 6;
+  static constexpr uint64_t kGridWakeEpochs[] = {3, 4, 17, 40, 41, 90};
+
+  DozeFleet(const FleetConfig& config, const DozeOptions& options, TempFiles* files,
+            const std::string& tag) {
+    fleet = std::make_unique<Fleet>(config);
+    if (options.observers) {
+      telemetry_path = files->Add(tag + ".shm");
+      TelemetryConfig tc;
+      tc.snapshot_period_cycles = 30'000;
+      region = std::make_unique<TelemetryRegion>();
+      std::string error;
+      EXPECT_TRUE(region->Create({telemetry_path, kBoards, 1024}, tc, &error)) << error;
+    }
+    for (size_t i = 0; i < kBoards; ++i) {
+      BoardConfig bc;
+      bc.rng_seed = 0xD0E5 + static_cast<uint32_t>(i);
+      bc.radio_addr = static_cast<uint16_t>(i + 1);
+      bc.medium = &fleet->medium();
+      bc.allow_scheduler_env = false;
+      if (i == 3) {
+        bc.kernel.scheduler.policy = SchedulerPolicy::kMlfq;
+        bc.kernel.scheduler.mlfq_boost_period_cycles = 20'000;
+        bc.kernel.timeslice_cycles = 2'000;
+      }
+      if (options.observers) {
+        bc.telemetry = region->board(i);
+        bc.trace_export_path = files->Add(tag + "_board" + std::to_string(i) + ".json");
+        trace_paths.push_back(bc.trace_export_path);
+        bc.trace_export_flush_cycles = 100'000;
+      }
+      auto board = std::make_unique<SimBoard>(bc);
+      board->radio_hw().EnableDeliveryLog();
+      std::vector<AppSpec> apps;
+      auto add = [&apps](const char* name, std::string source) {
+        AppSpec app;
+        app.name = name;
+        app.source = std::move(source);
+        apps.push_back(std::move(app));
+      };
+      switch (i) {
+        case 0:
+          add("beacon", BeaconApp(1, /*dst=*/3));
+          break;
+        case 1:
+          add("beacon", BeaconApp(2, /*dst=*/6));
+          break;
+        case 2:
+          add("listener", kListenerApp);
+          add("sleeper", kSleeperApp);
+          break;
+        case 3:
+          add("burst", kBurstApp);
+          break;
+        case 4:
+          add("sleeper", kSleeperApp);
+          break;
+        default:
+          add("listener", kListenerApp);
+          break;
+      }
+      for (const AppSpec& app : apps) {
+        EXPECT_NE(board->installer().Install(app), 0u) << board->installer().error();
+      }
+      EXPECT_EQ(board->Boot(), static_cast<int>(apps.size()));
+      fleet->AddBoard(board.get());
+      boards.push_back(std::move(board));
+    }
+    if (options.align_clocks) {
+      fleet->AlignClocks();
+    } else {
+      for (size_t i = 0; i < kBoards; ++i) {
+        boards[i]->mcu().clock().Advance(1 + 977 * i);
+      }
+    }
+    uint64_t start = UINT64_MAX;
+    for (const auto& board : boards) {
+      start = std::min(start, board->mcu().CyclesNow());
+    }
+    SimBoard* waker = boards[4].get();
+    for (uint64_t k : kGridWakeEpochs) {
+      waker->mcu().clock().ScheduleAt(start + k * fleet->EffectiveSlice(), [waker] {
+        waker->uart1_hw().InjectRx("stats\n");
+      });
+    }
+  }
+
+  // The oracle: Fleet::Run's epoch grid, one thread, every board stepped
+  // through the public per-pass calls in every epoch. Without idle skipping
+  // every pass runs the main loop; the process console's `stats` prints the
+  // host-only skip count, so the reference must skip exactly when the fleet may.
+  void ReferenceRun(uint64_t cycles, bool idle_skip) {
+    const uint64_t slice = fleet->EffectiveSlice();
+    std::vector<uint64_t> targets(kBoards);
+    uint64_t start = UINT64_MAX;
+    uint64_t end = 0;
+    for (size_t i = 0; i < kBoards; ++i) {
+      targets[i] = boards[i]->mcu().CyclesNow() + cycles;
+      start = std::min(start, boards[i]->mcu().CyclesNow());
+      end = std::max(end, targets[i]);
+    }
+    for (uint64_t t = start; t < end;) {
+      const uint64_t epoch_end = std::min(t + slice, end);
+      for (size_t i = 0; i < kBoards; ++i) {
+        SimBoard& board = *boards[i];
+        board.radio_hw().PumpInbox();
+        const uint64_t target = std::min(epoch_end, targets[i]);
+        if (board.mcu().CyclesNow() >= target) {
+          continue;
+        }
+        if (!idle_skip || !board.radio_hw().InboxEmpty() ||
+            !board.kernel().TryIdleFastForward(target, board.main_cap())) {
+          board.kernel().MainLoop(target, board.main_cap());
+          if (board.mcu().CyclesNow() < target) {
+            board.mcu().clock().Advance(target - board.mcu().CyclesNow());
+          }
+        }
+        board.OnEpochBarrier();
+      }
+      t = epoch_end;
+    }
+  }
+
+  // Everything simulated about one board, plus the host-side artifacts its
+  // epoch hook and trace sink wrote.
+  std::string Fingerprint(size_t i) {
+    SimBoard& board = *boards[i];
+    Kernel& kernel = board.kernel();
+    std::string out;
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "cycles=%llu insns=%llu active=%llu sleep=%llu transitions=%llu "
+                  "wedged=%d tx=%llu rx=%llu ovr=%llu\n",
+                  static_cast<unsigned long long>(board.mcu().CyclesNow()),
+                  static_cast<unsigned long long>(kernel.instructions_retired()),
+                  static_cast<unsigned long long>(board.mcu().active_cycles()),
+                  static_cast<unsigned long long>(board.mcu().sleep_cycles()),
+                  static_cast<unsigned long long>(board.mcu().sleep_transitions()),
+                  board.mcu().wedged() ? 1 : 0,
+                  static_cast<unsigned long long>(board.radio_hw().packets_sent()),
+                  static_cast<unsigned long long>(board.radio_hw().packets_received()),
+                  static_cast<unsigned long long>(board.radio_hw().rx_overruns()));
+    out += line;
+    kernel.trace().DumpStats(out);
+    kernel.trace().DumpTrace(out);
+    for (const RadioDeliveryRecord& r : board.radio_hw().delivery_log()) {
+      std::snprintf(line, sizeof(line), "deliver cycle=%llu src=%u dst=%u len=%u sum=%u\n",
+                    static_cast<unsigned long long>(r.cycle), r.src, r.dst, r.len,
+                    r.payload_sum);
+      out += line;
+    }
+    // The cycle-attribution span ring and a fully flushed snapshot of it.
+    const CycleAccounting& acct = kernel.trace().accounting();
+    std::snprintf(line, sizeof(line), "spans total=%llu\n",
+                  static_cast<unsigned long long>(acct.spans().TotalRecorded()));
+    out += line;
+    acct.spans().ForEach([&](const CycleSpan& span) {
+      std::snprintf(line, sizeof(line), "span %llu-%llu bucket=%d pid=%d\n",
+                    static_cast<unsigned long long>(span.start),
+                    static_cast<unsigned long long>(span.end), static_cast<int>(span.bucket),
+                    static_cast<int>(span.pid));
+      out += line;
+    });
+    const CycleAccounting::Snapshot snap = acct.Snap(board.mcu().CyclesNow());
+    std::snprintf(line, sizeof(line), "snap anchor=%llu now=%llu capsule=%llu irq=%llu "
+                  "idle=%llu kernel=%llu\n",
+                  static_cast<unsigned long long>(snap.anchor),
+                  static_cast<unsigned long long>(snap.now),
+                  static_cast<unsigned long long>(snap.capsule),
+                  static_cast<unsigned long long>(snap.irq),
+                  static_cast<unsigned long long>(snap.idle),
+                  static_cast<unsigned long long>(snap.kernel));
+    out += line;
+    for (size_t p = 0; p < CycleAccounting::kMaxProcs; ++p) {
+      const ProcStats ps = kernel.GetProcStats(p);
+      std::snprintf(line, sizeof(line), "proc %zu user=%llu service=%llu level=%llu "
+                    "expirations=%llu\n",
+                    p, static_cast<unsigned long long>(snap.user[p]),
+                    static_cast<unsigned long long>(snap.service[p]),
+                    static_cast<unsigned long long>(ps.queue_level),
+                    static_cast<unsigned long long>(ps.timeslice_expirations));
+      out += line;
+    }
+    if (kernel.scheduler_policy() == SchedulerPolicy::kMlfq) {
+      std::snprintf(line, sizeof(line), "boosts=%llu\n",
+                    static_cast<unsigned long long>(Boosts(i)));
+      out += line;
+    }
+    out += "console:" + board.uart1_hw().output() + "\n";
+    if (region != nullptr) {
+      out += "telemetry " + std::to_string(board.telemetry()->events_published()) + "\n";
+      TelemetryTap tap;
+      std::string error;
+      TelemetrySnapshot tsnap;
+      if (tap.Attach(region->base(), region->size(), &error) && tap.ReadSnapshot(i, &tsnap)) {
+        out += "snapshot seq=" + std::to_string(tsnap.seq) + " cycle=" +
+               std::to_string(tsnap.cycle);
+        // Host-only words (idle skips, engine and transport counters) may
+        // differ between the legs; everything simulated may not.
+        for (size_t w = 0; w < tsnap.stats.size(); ++w) {
+          if (!StatIsHostOnly(static_cast<StatId>(w))) {
+            out += " " + std::to_string(tsnap.stats[w]);
+          }
+        }
+        for (const auto& row : tsnap.procs) {
+          for (uint64_t word : row) {
+            out += " " + std::to_string(word);
+          }
+        }
+        out += "\n";
+      } else {
+        out += "snapshot unreadable: " + error + "\n";
+      }
+      out += "export:" + ReadFile(trace_paths[i]) + "\n";
+    }
+    return out;
+  }
+
+  uint64_t Boosts(size_t i) {
+    return static_cast<const MlfqScheduler&>(boards[i]->kernel().scheduler()).boosts();
+  }
+
+  std::string telemetry_path;
+  std::vector<std::string> trace_paths;
+  std::unique_ptr<TelemetryRegion> region;  // outlives the boards publishing into it
+  std::unique_ptr<Fleet> fleet;
+  std::vector<std::unique_ptr<SimBoard>> boards;
+};
+
+// Runs Fleet::Run at 1, 2 and 4 threads, idle skipping on and off, each on a
+// fresh copy of the same fleet and over the same Run() chunks, and compares
+// every board with the reference stepper's. The fingerprint holds the console
+// output, which prints the host-only skip count, so at any thread count the
+// dozing fleet skips exactly the passes the one-thread reference skipped.
+void ExpectFleetMatchesReference(const DozeOptions& options,
+                                 const std::vector<uint64_t>& chunks) {
+  TempFiles files;
+  for (bool idle_skip : {true, false}) {
+    SCOPED_TRACE("idle_skip=" + std::to_string(idle_skip));
+    DozeFleet reference(FleetConfig{}, options, &files, "ref" + std::to_string(idle_skip));
+    for (uint64_t cycles : chunks) {
+      reference.ReferenceRun(cycles, idle_skip);
+    }
+    // The scenario must exercise what it claims to.
+    EXPECT_GT(reference.boards[2]->radio_hw().packets_received(), 0u);
+    EXPECT_NE(reference.boards[4]->uart1_hw().output(), "");
+    if (KernelConfig::trace_enabled) {
+      EXPECT_GT(reference.Boosts(3), 1u);
+      EXPECT_EQ(reference.boards[3]->kernel().stats().fleet_idle_skips > 0, idle_skip);
+    }
+    for (unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      FleetConfig config;
+      config.threads = threads;
+      config.idle_skip = idle_skip;
+      DozeFleet fleet(config, options, &files,
+                      "t" + std::to_string(threads) + "s" + std::to_string(idle_skip));
+      for (uint64_t cycles : chunks) {
+        fleet.fleet->Run(cycles);
+      }
+      for (size_t i = 0; i < DozeFleet::kBoards; ++i) {
+        EXPECT_EQ(reference.Fingerprint(i), fleet.Fingerprint(i)) << "board " << i;
+      }
+    }
+  }
+}
+
+TEST(FleetDoze, MatchesReferenceStepper) {
+  ExpectFleetMatchesReference(DozeOptions{}, {600'000});
+}
+
+TEST(FleetDoze, MatchesReferenceWithUnalignedStartClocks) {
+  DozeOptions options;
+  options.align_clocks = false;
+  ExpectFleetMatchesReference(options, {600'000});
+}
+
+// Every Run() ends by replaying the passes its dozing boards deferred, and the
+// next Run() lays a fresh grid from the boards' clocks.
+TEST(FleetDoze, MatchesReferenceAcrossRunChunks) {
+  DozeOptions options;
+  options.align_clocks = false;
+  ExpectFleetMatchesReference(options, {150'001, 3, 99'999, 350'000});
+}
+
+// The epoch hook (telemetry snapshots, trace-export flushes) and the telemetry
+// sink watch every deferred pass: the batched replay must show them the same
+// state at the same cycles as stepping did.
+TEST(FleetDoze, MatchesReferenceWithTelemetryAndTraceFlush) {
+  DozeOptions options;
+  options.observers = true;
+  ExpectFleetMatchesReference(options, {300'000, 300'000});
+}
+
+// A batched replay of several grid passes equals the same passes replayed one
+// at a time, and refuses to run past the board's next event.
+TEST(FleetDoze, BatchedReplayEqualsOnePassAtATime) {
+  TempFiles files;
+  DozeFleet batched(FleetConfig{}, DozeOptions{}, &files, "batched");
+  DozeFleet single(FleetConfig{}, DozeOptions{}, &files, "single");
+  SimBoard& a = *batched.boards[3];
+  SimBoard& b = *single.boards[3];
+  // Run both boards past their first burst, into a long sleep.
+  for (SimBoard* board : {&a, &b}) {
+    board->kernel().MainLoop(board->mcu().CyclesNow() + 30'000, board->main_cap());
+    ASSERT_TRUE(board->kernel().IsQuiescedUntil(board->mcu().CyclesNow() + 1));
+  }
+  ASSERT_EQ(a.mcu().CyclesNow(), b.mcu().CyclesNow());
+  const uint64_t now = a.mcu().CyclesNow();
+  const uint64_t wake = a.mcu().clock().NextEventAt();
+  ASSERT_GT(wake, now + 10 * 4'608);
+  const uint64_t stride = 4'608;
+  const uint64_t first_end = now + 1'000;
+  const uint64_t last_end = wake - 1;
+  // Past the next event: refused, nothing changes.
+  EXPECT_FALSE(
+      a.kernel().ReplayIdlePasses(first_end, stride, wake + 1, a.main_cap(), nullptr));
+  EXPECT_EQ(a.mcu().CyclesNow(), now);
+  ASSERT_TRUE(a.kernel().ReplayIdlePasses(first_end, stride, last_end, a.main_cap(), nullptr));
+  for (uint64_t end = first_end;; end = std::min(end + stride, last_end)) {
+    ASSERT_TRUE(b.kernel().TryIdleFastForward(end, b.main_cap()));
+    if (end == last_end) {
+      break;
+    }
+  }
+  EXPECT_EQ(batched.Fingerprint(3), single.Fingerprint(3));
+  if (KernelConfig::trace_enabled) {
+    EXPECT_GT(a.kernel().stats().fleet_idle_skips, 10u);
   }
 }
 
